@@ -49,7 +49,9 @@ def _add_common_options(sub: argparse.ArgumentParser) -> None:
         metavar="KEY=VALUE",
         help="dotted-path configuration override, repeatable",
     )
-    sub.add_argument("--seed", type=int, default=None, help="experiment seed override")
+    sub.add_argument(
+        "--seed", type=int, default=None, help="plant.disturbance.seed override"
+    )
     sub.add_argument(
         "--mode",
         choices=[m.value for m in RunMode],
@@ -103,7 +105,6 @@ def _flag_overrides(args: argparse.Namespace) -> list[str]:
     # Dedicated flags win over --set.
     overrides: list[str] = []
     if args.seed is not None:
-        overrides.append(f"seed={args.seed}")
         overrides.append(f"plant.disturbance.seed={args.seed}")
     if args.mode is not None:
         overrides.append(f"mode={args.mode}")
@@ -200,10 +201,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     axes = _parse_grid(args.grid)
     out = _out_dir(args)
     keys = [key for key, _ in axes]
-    points: list[tuple[str, ...]] = []
-    for combo in itertools.product(*(values for _, values in axes)):
-        if combo not in points:  # duplicate grid points are dropped
-            points.append(combo)
+    # duplicate grid points are dropped
+    points = list(dict.fromkeys(itertools.product(*(values for _, values in axes))))
     header = keys + [
         "avg_psnr",
         "control_error_db",

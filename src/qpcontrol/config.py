@@ -10,8 +10,10 @@ that parses back to an equal configuration.
 
 from __future__ import annotations
 
+from enum import Enum
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .controller import ControlObjective, PidGains, QpRange
 from .errors import (
@@ -21,7 +23,7 @@ from .errors import (
     MissingConfigFile,
     UnknownConfigKey,
 )
-from .harness import ExperimentConfig, RunMode, parse_kind_pattern
+from .harness import ExperimentConfig, RunMode
 from .plant import DisturbanceKind, DisturbanceSpec, PlantKind, PlantModel, TraceTable
 
 
@@ -49,13 +51,15 @@ def _parse_optional_str(key: str, raw: str) -> str | None:
     return None if raw == "none" else raw
 
 
-def _parse_choice(choices: tuple[str, ...]) -> Callable[[str, str], str]:
-    def parse(key: str, raw: str) -> str:
+def _parse_enum(enum: type[Enum]) -> Callable[[str, str], Enum]:
+    choices = tuple(member.value for member in enum)
+
+    def parse(key: str, raw: str) -> Enum:
         if raw not in choices:
             raise ConfigParseError(
                 f"{key}: expected one of {', '.join(choices)}; got {raw!r}"
             )
-        return raw
+        return enum(raw)
 
     return parse
 
@@ -63,43 +67,87 @@ def _parse_choice(choices: tuple[str, ...]) -> Callable[[str, str], str]:
 def _fmt(value) -> str:
     if value is None:
         return "none"
+    if isinstance(value, Enum):
+        return value.value
     return str(value)
 
 
-# key -> (default, parser). Order is the canonical emission order.
-SCHEMA: dict[str, tuple[object, Callable[[str, str], object]]] = {
-    "objective.target_psnr": (37.2, _parse_float),
-    "objective.lambda": (0.8, _parse_float),
-    "gains.kp": (2.12, _parse_float),
-    "gains.ki": (0.10, _parse_float),
-    "gains.kd": (0.60, _parse_float),
-    "range.qp_min": (0, _parse_int),
-    "range.qp_max": (51, _parse_int),
-    "qp_offset": (32.0, _parse_float),
-    "kind_pattern": ("inter", lambda key, raw: raw),
-    "n_frames": (300, _parse_int),
-    "seed": (0, _parse_int),
-    "mode": ("controlled", _parse_choice(tuple(m.value for m in RunMode))),
-    "plant.kind": (
-        "first_order",
-        _parse_choice(tuple(k.value for k in PlantKind)),
-    ),
-    "plant.psnr_intercept": (50.0, _parse_float),
-    "plant.psnr_slope": (0.4, _parse_float),
-    "plant.inertia": (0.5, _parse_float),
-    "plant.rate_ref_bits": (350000.0, _parse_float),
-    "plant.rate_ref_qp": (32, _parse_int),
-    "plant.initial_psnr": (None, _parse_optional_float),
-    "plant.trace_path": (None, _parse_optional_str),
-    "plant.disturbance.kind": (
-        "none",
-        _parse_choice(tuple(k.value for k in DisturbanceKind)),
-    ),
-    "plant.disturbance.amplitude": (0.0, _parse_float),
-    "plant.disturbance.period": (0, _parse_int),
-    "plant.disturbance.step_frame": (0, _parse_int),
-    "plant.disturbance.seed": (0, _parse_int),
+class Key(NamedTuple):
+    """One configuration key: its default, its parser and the dotted
+    ``ExperimentConfig`` attribute it reads (empty when that is the key)."""
+
+    default: object
+    parse: Callable[[str, str], object]
+    attr: str = ""
+
+
+_TRACE_PATH = "plant.trace_path"
+
+# The only list of keys; it drives parsing, emission and --grid validation.
+# Order is the canonical emission order.
+SCHEMA: dict[str, Key] = {
+    "objective.target_psnr": Key(37.2, _parse_float),
+    "objective.lambda": Key(0.8, _parse_float, "objective.lambda_"),
+    "gains.kp": Key(2.12, _parse_float),
+    "gains.ki": Key(0.10, _parse_float),
+    "gains.kd": Key(0.60, _parse_float),
+    "range.qp_min": Key(0, _parse_int, "qp_range.qp_min"),
+    "range.qp_max": Key(51, _parse_int, "qp_range.qp_max"),
+    "qp_offset": Key(32.0, _parse_float),
+    "kind_pattern": Key("inter", lambda key, raw: raw),
+    "n_frames": Key(300, _parse_int),
+    "mode": Key(RunMode.CONTROLLED, _parse_enum(RunMode)),
+    "plant.kind": Key(PlantKind.FIRST_ORDER, _parse_enum(PlantKind)),
+    "plant.psnr_intercept": Key(50.0, _parse_float),
+    "plant.psnr_slope": Key(0.4, _parse_float),
+    "plant.inertia": Key(0.5, _parse_float),
+    "plant.rate_ref_bits": Key(350000.0, _parse_float),
+    "plant.rate_ref_qp": Key(32, _parse_int),
+    "plant.initial_psnr": Key(None, _parse_optional_float),
+    _TRACE_PATH: Key(None, _parse_optional_str),
+    "plant.disturbance.kind": Key(DisturbanceKind.NONE, _parse_enum(DisturbanceKind)),
+    "plant.disturbance.amplitude": Key(0.0, _parse_float),
+    "plant.disturbance.period": Key(0, _parse_int),
+    "plant.disturbance.step_frame": Key(0, _parse_int),
+    "plant.disturbance.seed": Key(0, _parse_int),
 }
+
+
+def _attr(key: str) -> str:
+    return SCHEMA[key].attr or key
+
+
+def _load_trace(trace_path: str | None) -> TraceTable:
+    if trace_path is None:
+        raise ConfigInvariantError(f"{_TRACE_PATH}: required for a trace_driven plant")
+    trace_file = Path(trace_path)
+    if not trace_file.is_file():
+        raise ConfigInvariantError(
+            f"{_TRACE_PATH}: trace file not found: {trace_file}"
+        )
+    try:
+        return TraceTable.load(trace_file)
+    except InputDomainError as exc:
+        raise ConfigInvariantError(f"{_TRACE_PATH}: {exc}") from exc
+
+
+def _plant(**fields) -> PlantModel:
+    trace = None
+    if fields["kind"] is PlantKind.TRACE_DRIVEN:
+        trace = _load_trace(fields["trace_path"])
+    return PlantModel(trace=trace, **fields)
+
+
+# Sections from the innermost out: attribute path, name in error messages,
+# and the constructor taking the section's fields.
+_SECTIONS: tuple[tuple[str, str, Callable[..., object]], ...] = (
+    ("gains", "gains", PidGains),
+    ("objective", "objective", ControlObjective),
+    ("qp_range", "range", QpRange),
+    ("plant.disturbance", "plant.disturbance", DisturbanceSpec),
+    ("plant", "plant", _plant),
+    ("", "experiment", ExperimentConfig),
+)
 
 
 def _parse_lines(text: str, source: str) -> dict[str, object]:
@@ -115,15 +163,8 @@ def _parse_lines(text: str, source: str) -> dict[str, object]:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in SCHEMA:
             raise UnknownConfigKey(f"{source}:{lineno}: unknown key {key!r}")
-        values[key] = SCHEMA[key][1](key, raw)
+        values[key] = SCHEMA[key].parse(key, raw)
     return values
-
-
-def _build_section(section: str, build: Callable[[], object]):
-    try:
-        return build()
-    except InputDomainError as exc:
-        raise ConfigInvariantError(f"{section}: {exc}") from exc
 
 
 def parse_config(
@@ -135,9 +176,9 @@ def parse_config(
     ``overrides`` entries are ``key=value`` strings applied after the file,
     in order. Missing file, malformed line, unknown key and invariant
     violation each raise their own ConfigError subclass, naming the
-    offending key path.
+    offending key path or section.
     """
-    kv = {key: default for key, (default, _) in SCHEMA.items()}
+    kv = {key: entry.default for key, entry in SCHEMA.items()}
 
     if path is not None:
         file_path = Path(path)
@@ -152,121 +193,25 @@ def parse_config(
     for i, line in enumerate(override_lines):
         kv.update(_parse_lines(line, f"override[{i}]"))
 
-    gains = _build_section(
-        "gains",
-        lambda: PidGains(kp=kv["gains.kp"], ki=kv["gains.ki"], kd=kv["gains.kd"]),
-    )
-    objective = _build_section(
-        "objective",
-        lambda: ControlObjective(
-            target_psnr=kv["objective.target_psnr"], lambda_=kv["objective.lambda"]
-        ),
-    )
-    qp_range = _build_section(
-        "range",
-        lambda: QpRange(qp_min=kv["range.qp_min"], qp_max=kv["range.qp_max"]),
-    )
-    disturbance = _build_section(
-        "plant.disturbance",
-        lambda: DisturbanceSpec(
-            kind=DisturbanceKind(kv["plant.disturbance.kind"]),
-            amplitude=kv["plant.disturbance.amplitude"],
-            period=kv["plant.disturbance.period"],
-            step_frame=kv["plant.disturbance.step_frame"],
-            seed=kv["plant.disturbance.seed"],
-        ),
-    )
-
-    plant_kind = PlantKind(kv["plant.kind"])
-    trace = None
-    trace_path = kv["plant.trace_path"]
-    if plant_kind is PlantKind.TRACE_DRIVEN:
-        if trace_path is None:
-            raise ConfigInvariantError(
-                "plant.trace_path: required for a trace_driven plant"
-            )
-        trace_file = Path(trace_path)
-        if not trace_file.is_file():
-            raise ConfigInvariantError(
-                f"plant.trace_path: trace file not found: {trace_file}"
-            )
+    fields: dict[str, dict[str, object]] = {section: {} for section, _, _ in _SECTIONS}
+    for key, value in kv.items():
+        section, _, name = _attr(key).rpartition(".")
+        fields[section][name] = value
+    for section, label, build in _SECTIONS:
         try:
-            trace = TraceTable.load(trace_file)
+            built = build(**fields[section])
         except InputDomainError as exc:
-            raise ConfigInvariantError(f"plant.trace_path: {exc}") from exc
-
-    plant = _build_section(
-        "plant",
-        lambda: PlantModel(
-            kind=plant_kind,
-            psnr_intercept=kv["plant.psnr_intercept"],
-            psnr_slope=kv["plant.psnr_slope"],
-            inertia=kv["plant.inertia"],
-            rate_ref_bits=kv["plant.rate_ref_bits"],
-            rate_ref_qp=kv["plant.rate_ref_qp"],
-            disturbance=disturbance,
-            trace_path=trace_path,
-            trace=trace,
-            initial_psnr=kv["plant.initial_psnr"],
-        ),
-    )
-
-    try:
-        parse_kind_pattern(kv["kind_pattern"])
-    except InputDomainError as exc:
-        raise ConfigInvariantError(f"kind_pattern: {exc}") from exc
-
-    return _build_section(
-        "experiment",
-        lambda: ExperimentConfig(
-            plant=plant,
-            objective=objective,
-            gains=gains,
-            qp_range=qp_range,
-            qp_offset=kv["qp_offset"],
-            kind_pattern=kv["kind_pattern"],
-            n_frames=kv["n_frames"],
-            seed=kv["seed"],
-            mode=RunMode(kv["mode"]),
-        ),
-    )
+            raise ConfigInvariantError(f"{label}: {exc}") from exc
+        parent, _, name = section.rpartition(".")
+        fields[parent][name] = built
+    return built
 
 
 def emit_config(config: ExperimentConfig) -> str:
     """Serialize a configuration so that parsing it back compares equal."""
-    plant = config.plant
-    if plant.kind is PlantKind.TRACE_DRIVEN and plant.trace_path is None:
+    if config.plant.kind is PlantKind.TRACE_DRIVEN and config.plant.trace_path is None:
         raise ConfigInvariantError(
-            "plant.trace_path: required to serialize a trace_driven plant"
+            f"{_TRACE_PATH}: required to serialize a trace_driven plant"
         )
-    values = {
-        "objective.target_psnr": repr(config.objective.target_psnr),
-        "objective.lambda": repr(config.objective.lambda_),
-        "gains.kp": repr(config.gains.kp),
-        "gains.ki": repr(config.gains.ki),
-        "gains.kd": repr(config.gains.kd),
-        "range.qp_min": config.qp_range.qp_min,
-        "range.qp_max": config.qp_range.qp_max,
-        "qp_offset": repr(config.qp_offset),
-        "kind_pattern": config.kind_pattern,
-        "n_frames": config.n_frames,
-        "seed": config.seed,
-        "mode": config.mode.value,
-        "plant.kind": plant.kind.value,
-        "plant.psnr_intercept": repr(plant.psnr_intercept),
-        "plant.psnr_slope": repr(plant.psnr_slope),
-        "plant.inertia": repr(plant.inertia),
-        "plant.rate_ref_bits": repr(plant.rate_ref_bits),
-        "plant.rate_ref_qp": plant.rate_ref_qp,
-        "plant.initial_psnr": (
-            None if plant.initial_psnr is None else repr(plant.initial_psnr)
-        ),
-        "plant.trace_path": plant.trace_path,
-        "plant.disturbance.kind": plant.disturbance.kind.value,
-        "plant.disturbance.amplitude": repr(plant.disturbance.amplitude),
-        "plant.disturbance.period": plant.disturbance.period,
-        "plant.disturbance.step_frame": plant.disturbance.step_frame,
-        "plant.disturbance.seed": plant.disturbance.seed,
-    }
-    lines = [f"{key} = {_fmt(values[key])}" for key in SCHEMA]
+    lines = [f"{key} = {_fmt(attrgetter(_attr(key))(config))}" for key in SCHEMA]
     return "\n".join(lines) + "\n"

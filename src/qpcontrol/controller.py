@@ -93,24 +93,21 @@ class QpRange:
 class ControllerState:
     """Scalar accumulators for one stream.
 
-    ``prev_error`` / ``prev_derivative_src`` hold the two most recent errors
-    for the backward-difference derivative (undefined before the first
-    update). ``error_integral`` is the running error sum, ``o_integral`` and
-    ``o_double_integral`` the single and double accumulations of the control
-    variable, and ``qp_offset`` the integration constant anchoring the
-    emitted QP. ``last_error``/``last_o`` mirror the most recent signals for
-    trace debugging.
+    ``prev_error`` holds the most recent error for the backward-difference
+    derivative (undefined before the first update). ``error_integral`` is
+    the running error sum, ``o_integral`` and ``o_double_integral`` the
+    single and double accumulations of the control variable, and
+    ``qp_offset`` the integration constant anchoring the emitted QP.
+    ``last_o`` mirrors the most recent control variable for the run trace.
     """
 
     qp_offset: float = 0.0
     frame_index: int = 0
     prev_error: float | None = None
     error_integral: float = 0.0
-    prev_derivative_src: float | None = None
     o_integral: float = 0.0
     o_double_integral: float = 0.0
     prev_psnr: float | None = None
-    last_error: float = 0.0
     last_o: float = 0.0
     o_pending: bool = field(default=False, repr=False)
 
@@ -125,7 +122,6 @@ class ControllerState:
         order = (
             "prev_error",
             "error_integral",
-            "prev_derivative_src",
             "o_integral",
             "o_double_integral",
             "prev_psnr",
@@ -150,11 +146,9 @@ def reset(state: ControllerState, qp_offset: float) -> ControllerState:
     state.frame_index = 0
     state.prev_error = None
     state.error_integral = 0.0
-    state.prev_derivative_src = None
     state.o_integral = 0.0
     state.o_double_integral = 0.0
     state.prev_psnr = None
-    state.last_error = 0.0
     state.last_o = 0.0
     state.o_pending = False
     return state
@@ -196,9 +190,7 @@ def pid_step(error: float, state: ControllerState, gains: PidGains) -> float:
     else:
         derivative = error - state.prev_error
     o = gains.kp * error + gains.ki * state.error_integral - gains.kd * derivative
-    state.prev_derivative_src = state.prev_error
     state.prev_error = error
-    state.last_error = error
     state.last_o = o
     state.o_pending = True
     return o
@@ -246,7 +238,6 @@ def policy_qp(
         raw = state.qp_offset + state.o_integral
     else:
         raw = state.qp_offset + state.o_double_integral
-    state.last_o = o
     state.frame_index += 1
     return clamp_round_qp(raw, qp_range)
 
@@ -272,7 +263,6 @@ def controller_frame(
             raise InputDomainError(
                 "frame 0 has no preceding frame; pass psnr_prev_frame=None"
             )
-        state.last_error = 0.0
         state.o_pending = True
         return policy_qp(0.0, kind, state, qp_range)
     if psnr_prev_frame is None:

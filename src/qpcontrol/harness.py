@@ -19,8 +19,6 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .controller import (
     ControllerState,
     ControlObjective,
@@ -32,7 +30,7 @@ from .controller import (
     controller_frame,
 )
 from .errors import DegenerateInputError, InputDomainError
-from .plant import PlantModel, step_plant
+from .plant import PlantKind, PlantModel, step_plant
 
 TRACE_CSV_HEADER = "frame,qp,psnr_db,bits,error,o"
 
@@ -58,9 +56,13 @@ def parse_kind_pattern(pattern: str) -> Callable[[int], FrameKind]:
         try:
             period = int(tail)
         except ValueError:
-            raise InputDomainError(f"bad intra_every period {tail!r}") from None
+            raise InputDomainError(
+                f"kind_pattern {pattern!r}: bad intra_every period {tail!r}"
+            ) from None
         if period < 1:
-            raise InputDomainError(f"intra_every period must be >= 1, got {period}")
+            raise InputDomainError(
+                f"kind_pattern {pattern!r}: intra_every period must be >= 1"
+            )
         return lambda t: FrameKind.INTRA if t % period == 0 else FrameKind.INTER
     raise InputDomainError(
         f"unknown kind_pattern {pattern!r}; expected 'inter', 'intra' or 'intra_every:N'"
@@ -78,7 +80,6 @@ class ExperimentConfig:
     qp_offset: float = 32.0
     kind_pattern: str = "inter"
     n_frames: int = 300
-    seed: int = 0
     mode: RunMode = RunMode.CONTROLLED
 
     def __post_init__(self) -> None:
@@ -87,6 +88,16 @@ class ExperimentConfig:
         if not math.isfinite(self.qp_offset):
             raise InputDomainError("qp_offset must be finite")
         parse_kind_pattern(self.kind_pattern)  # validate eagerly
+        if self.plant.kind is PlantKind.TRACE_DRIVEN:
+            # Frame coverage only: a frame's QP span is checked per lookup.
+            rows = self.plant.trace.rows
+            missing = next((t for t in range(self.n_frames) if t not in rows), None)
+            if missing is not None:
+                raise InputDomainError(
+                    f"n_frames={self.n_frames} runs past the trace table "
+                    f"(plant.trace_path={self.plant.trace_path}): "
+                    f"frame {missing} is not tabulated"
+                )
 
 
 @dataclass(frozen=True)
@@ -141,28 +152,26 @@ class ComparisonReport:
         return [("fixed_qp", self.baseline), ("controlled", self.controlled)]
 
 
-def run_closed_loop(config: ExperimentConfig) -> list[FrameRecord]:
-    """Run the controller against the configured plant for ``n_frames``.
+def _run(
+    config: ExperimentConfig,
+    next_qp: Callable[[float | None, int], int],
+    state: ControllerState,
+) -> list[FrameRecord]:
+    """Step a fresh copy of the plant with ``next_qp(prev_psnr, t)`` per frame.
 
-    Frame t's QP comes from the controller fed with frame t-1's PSNR; the
-    recorded ``error`` is the frame's own error signal (recomputed from the
-    fresh measurement) and ``o`` is the control variable that produced the
-    frame's QP.
+    The recorded ``error`` is the frame's own error signal (recomputed from
+    the fresh measurement) and ``o`` is ``state.last_o``, the control
+    variable that produced the frame's QP.
     """
-    if config.mode is not RunMode.CONTROLLED:
-        raise InputDomainError("run_closed_loop requires mode=controlled")
-    kind_at = parse_kind_pattern(config.kind_pattern)
-    plant = copy.deepcopy(config.plant)
+    plant = copy.copy(config.plant)  # the trace table is shared, never mutated
     plant.reset()
-    state = ControllerState(qp_offset=config.qp_offset)
+    objective = config.objective
     records: list[FrameRecord] = []
     prev_psnr: float | None = None
     for t in range(config.n_frames):
-        qp = controller_frame(
-            prev_psnr, kind_at(t), state, config.gains, config.objective, config.qp_range
-        )
+        qp = next_qp(prev_psnr, t)
         outcome = step_plant(plant, qp, t)
-        error = compute_error(outcome.psnr, prev_psnr, config.objective)
+        error = compute_error(outcome.psnr, prev_psnr, objective)
         records.append(
             FrameRecord(
                 frame=t,
@@ -177,25 +186,54 @@ def run_closed_loop(config: ExperimentConfig) -> list[FrameRecord]:
     return records
 
 
+def run_closed_loop(config: ExperimentConfig) -> list[FrameRecord]:
+    """Run the controller against the configured plant for ``n_frames``.
+
+    Frame t's QP comes from the controller fed with frame t-1's PSNR.
+    """
+    if config.mode is not RunMode.CONTROLLED:
+        raise InputDomainError("run_closed_loop requires mode=controlled")
+    kind_at = parse_kind_pattern(config.kind_pattern)
+    state = ControllerState(qp_offset=config.qp_offset)
+    gains, objective, qp_range = config.gains, config.objective, config.qp_range
+    return _run(
+        config,
+        lambda prev_psnr, t: controller_frame(
+            prev_psnr, kind_at(t), state, gains, objective, qp_range
+        ),
+        state,
+    )
+
+
 def run_fixed_qp(config: ExperimentConfig) -> list[FrameRecord]:
-    """Baseline run: hold the rounded anchor QP, step the plant identically."""
+    """Baseline run: hold the rounded anchor QP, step the plant identically.
+
+    No controller runs, so every frame records ``o = 0.0``.
+    """
     if config.mode is not RunMode.FIXED_QP:
         raise InputDomainError("run_fixed_qp requires mode=fixed")
-    plant = copy.deepcopy(config.plant)
-    plant.reset()
     qp = clamp_round_qp(config.qp_offset, config.qp_range)
-    records: list[FrameRecord] = []
-    prev_psnr: float | None = None
-    for t in range(config.n_frames):
-        outcome = step_plant(plant, qp, t)
-        error = compute_error(outcome.psnr, prev_psnr, config.objective)
-        records.append(
-            FrameRecord(
-                frame=t, qp=qp, psnr=outcome.psnr, bits=outcome.bits, error=error, o=0.0
-            )
-        )
-        prev_psnr = outcome.psnr
-    return records
+    # A state that is never stepped keeps last_o at 0.0.
+    return _run(config, lambda prev_psnr, t: qp, ControllerState())
+
+
+def mean(xs: Sequence[float]) -> float:
+    """The correctly rounded sum over the count."""
+    return math.fsum(xs) / len(xs)
+
+
+def mean_about_first(xs: Sequence[float]) -> float:
+    """Mean taken about the first sample, so a constant series gives back
+    exactly its value."""
+    first = xs[0]
+    return first + mean([x - first for x in xs])
+
+
+def pstd(xs: Sequence[float]) -> float:
+    """Population standard deviation, two-pass with ``math.fsum``; exactly
+    0.0 for a constant series."""
+    m = mean_about_first(xs)
+    return math.sqrt(math.fsum([(x - m) * (x - m) for x in xs]) / len(xs))
 
 
 def compute_metrics(
@@ -204,17 +242,17 @@ def compute_metrics(
     """Summarize a trace into the six report metrics."""
     if not records:
         raise DegenerateInputError("cannot compute metrics over an empty trace")
-    psnr = np.array([r.psnr for r in records], dtype=float)
-    bits = np.array([r.bits for r in records], dtype=float)
-    avg_psnr = float(np.mean(psnr))
+    psnr = [r.psnr for r in records]
+    bits = [r.bits for r in records]
+    avg_psnr = mean(psnr)
     control_error_db = abs(avg_psnr - objective.target_psnr)
     return MetricsReport(
         avg_psnr=avg_psnr,
         control_error_db=control_error_db,
         control_error_pct=100.0 * control_error_db / objective.target_psnr,
-        quality_fluc_db=float(np.std(psnr)),
-        bitrate_mean=float(np.mean(bits)),
-        bit_fluc=float(np.std(bits)),
+        quality_fluc_db=pstd(psnr),
+        bitrate_mean=mean(bits),
+        bit_fluc=pstd(bits),
     )
 
 

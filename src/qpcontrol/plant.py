@@ -213,6 +213,10 @@ class PlantModel:
             raise InputDomainError(f"inertia must be in [0, 1), got {self.inertia!r}")
         if not (math.isfinite(self.rate_ref_bits) and self.rate_ref_bits >= 0):
             raise InputDomainError("rate_ref_bits must be finite and >= 0")
+        if self.initial_psnr is not None and not math.isfinite(self.initial_psnr):
+            raise InputDomainError(
+                f"initial_psnr must be finite, got {self.initial_psnr!r}"
+            )
         if self.kind is PlantKind.TRACE_DRIVEN and self.trace is None:
             raise InputDomainError("trace-driven plant requires a trace table")
         if self.prev_psnr is None:

@@ -13,15 +13,13 @@ All functions here are pure over their inputs and safe for parallel use;
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
-
-import numpy as np
 
 from .controller import QpRange
 from .errors import DegenerateInputError, InputDomainError
+from .harness import mean, mean_about_first, pstd
 from .plant import DisturbanceSpec, PlantModel, step_plant
 
 #: Smallest |pole| treated as real memory rather than numerical residue.
@@ -72,12 +70,12 @@ def run_impulse(plant: PlantModel, qp_range: QpRange, n: int) -> ImpulseExperime
         raise InputDomainError(
             f"impulse run needs at least {MIN_RESPONSE_LENGTH} frames, got {n}"
         )
-    probe = copy.deepcopy(plant)
-    probe.disturbance = DisturbanceSpec()
+    # A shallow copy: the trace table is shared, never mutated.
+    probe = replace(plant, disturbance=DisturbanceSpec())
     probe.reset()
     qps = (qp_range.qp_min,) + (qp_range.qp_max,) * (n - 1)
     psnr = [step_plant(probe, qp, t).psnr for t, qp in enumerate(qps)]
-    settled = float(np.mean(psnr[-(n // 4):]))
+    settled = mean_about_first(psnr[-(n // 4):])
     response = tuple(value - settled for value in psnr)
     return ImpulseExperiment(qp_sequence=qps, length=n, response=response)
 
@@ -105,21 +103,25 @@ def estimate_order(
     (all-zero or constant) or when the fit lands outside the stable
     order-<=1 model family.
     """
-    arr = np.asarray(response, dtype=float)
-    if arr.ndim != 1 or arr.size < MIN_RESPONSE_LENGTH:
+    try:
+        arr = [float(value) for value in response]
+    except (TypeError, ValueError):
+        raise InputDomainError("response must be a sequence of numbers") from None
+    if len(arr) < MIN_RESPONSE_LENGTH:
         raise InputDomainError(
             f"response must be 1-D with at least {MIN_RESPONSE_LENGTH} samples"
         )
-    if not np.all(np.isfinite(arr)):
+    if not all(map(math.isfinite, arr)):
         raise InputDomainError("response must be finite")
-    scale = float(np.max(np.abs(arr)))
+    scale = max(map(abs, arr))
     if scale == 0.0:
         raise DegenerateInputError("all-zero response: order undefined")
 
-    quarter = arr.size // 4
-    settled = float(np.mean(arr[-quarter:]))
-    detrended = arr - settled
-    peak = float(np.max(np.abs(detrended)))
+    n = len(arr)
+    quarter = n // 4
+    settled = mean_about_first(arr[-quarter:])
+    detrended = [value - settled for value in arr]
+    peak = max(map(abs, detrended))
     if peak <= 1e-12 * scale:
         raise DegenerateInputError("constant response: order undefined")
 
@@ -127,17 +129,18 @@ def estimate_order(
     # settled tail's noise band (floored so an exactly-zero tail still
     # leaves a band), plus one settled sample. Late noise excursions must
     # not stretch the window, hence first entry rather than last exit.
-    noise_band = max(3.0 * float(np.std(detrended[-quarter:])), 1e-9 * peak)
-    inside = np.nonzero(np.abs(detrended[1:]) <= noise_band)[0]
-    first_settled = int(inside[0]) + 1 if inside.size else arr.size - quarter - 1
-    window = min(max(first_settled + 1, 2), arr.size - quarter)
+    noise_band = max(3.0 * pstd(detrended[-quarter:]), 1e-9 * peak)
+    first_settled = next(
+        (t for t in range(1, n) if abs(detrended[t]) <= noise_band), n - quarter - 1
+    )
+    window = min(max(first_settled + 1, 2), n - quarter)
     x = detrended[: window - 1]
     y = detrended[1:window]
-    denom = float(np.dot(x, x))
+    denom = math.fsum(a * a for a in x)
     if denom == 0.0:
         raise DegenerateInputError("transient has no energy: order undefined")
-    r = float(np.dot(x, y) / denom)
-    residual = float(np.sqrt(np.mean((y - r * x) ** 2))) / peak
+    r = math.fsum(a * b for a, b in zip(x, y)) / denom
+    residual = math.sqrt(mean([(b - r * a) ** 2 for a, b in zip(x, y)])) / peak
 
     # A zero-order response settles by sample 1, so its fitted pole is at
     # most noise_band / peak; requiring the pole to clear that ratio makes

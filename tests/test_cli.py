@@ -1,6 +1,10 @@
 """CLI tests: subcommand behaviour, file emission, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +122,18 @@ class TestCompare:
         assert controlled["quality_fluc_db"] < fixed["quality_fluc_db"]
         assert "reduction" in capsys.readouterr().out
 
+    def test_constant_fixed_qp_quality_has_zero_fluctuation(self, tmp_path):
+        code = run_cli(
+            "compare",
+            "--out", tmp_path,
+            "--set", "plant.kind=zero_order",
+            "--set", "plant.psnr_intercept=50.1",
+        )
+        assert code == 0
+        fixed = json.loads((tmp_path / "metrics_fixed.json").read_text())
+        assert fixed["quality_fluc_db"] == 0.0
+        assert fixed["bit_fluc"] == 0.0
+
 
 class TestSweep:
     def test_lambda_grid_rows(self, tmp_path):
@@ -206,8 +222,8 @@ class TestExitCodes:
     def test_unknown_override_key(self, tmp_path):
         assert run_cli("simulate", "--out", tmp_path, "--set", "nope=1") == 2
 
-    def test_runtime_error_exits_three(self, tmp_path):
-        # the trace covers frames 0..1 only, so a longer run walks off it
+    def test_trace_shorter_than_the_run_exits_two(self, tmp_path, capsys):
+        # the trace covers frames 0..1 only, so the config fails at load
         trace = tmp_path / "short.csv"
         trace.write_text(TRACE_TEXT)
         code = run_cli(
@@ -217,9 +233,39 @@ class TestExitCodes:
             "--set", f"plant.trace_path={trace}",
             "--set", "n_frames=300",
         )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "n_frames" in err and "plant.trace_path" in err
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_runtime_error_exits_three(self, tmp_path):
+        # the anchor QP 45 lies outside the tabulated span [30, 40]
+        trace = tmp_path / "short.csv"
+        trace.write_text(TRACE_TEXT)
+        code = run_cli(
+            "simulate",
+            "--out", tmp_path,
+            "--set", "plant.kind=trace_driven",
+            "--set", f"plant.trace_path={trace}",
+            "--set", "n_frames=2",
+            "--set", "qp_offset=45",
+        )
         assert code == 3
 
     def test_missing_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+
+def test_importing_the_cli_loads_no_numpy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, qpcontrol.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "False"

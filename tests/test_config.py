@@ -1,6 +1,8 @@
 """Configuration grammar tests: defaults, overrides, errors, round-trip."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qpcontrol.config import emit_config, parse_config
 from qpcontrol.errors import (
@@ -65,8 +67,10 @@ class TestOverridesAndFiles:
         assert parse_config(path, ["n_frames=7"]).n_frames == 7
 
     def test_later_overrides_win(self):
-        config = parse_config(None, ["seed=1", "seed=2"])
-        assert config.seed == 2
+        config = parse_config(
+            None, ["plant.disturbance.seed=1", "plant.disturbance.seed=2"]
+        )
+        assert config.plant.disturbance.seed == 2
 
 
 class TestErrors:
@@ -113,6 +117,38 @@ class TestErrors:
             parse_config(None, ["plant.kind=trace_driven"])
         assert "trace_path" in str(excinfo.value)
 
+    def test_trace_shorter_than_the_run_is_an_invariant_violation(self, tmp_path):
+        trace_path = tmp_path / "trace.csv"
+        trace_path.write_text(TRACE_TEXT)
+        with pytest.raises(ConfigInvariantError) as excinfo:
+            parse_config(
+                None,
+                [
+                    "plant.kind=trace_driven",
+                    f"plant.trace_path={trace_path}",
+                    "n_frames=3",
+                ],
+            )
+        assert "n_frames" in str(excinfo.value)
+        assert "plant.trace_path" in str(excinfo.value)
+
+    def test_trace_frames_may_tabulate_different_qp_spans(self, tmp_path):
+        trace_path = tmp_path / "trace.csv"
+        trace_path.write_text(
+            "frame,qp,psnr_db,bits\n0,30,38.0,500000\n0,40,34.0,200000\n"
+            "1,20,41.0,900000\n1,30,37.5,480000\n"
+        )
+        config = parse_config(
+            None,
+            ["plant.kind=trace_driven", f"plant.trace_path={trace_path}", "n_frames=2"],
+        )
+        assert sorted(config.plant.trace.rows) == [0, 1]
+
+    def test_non_finite_initial_psnr(self):
+        with pytest.raises(ConfigInvariantError) as excinfo:
+            parse_config(None, ["plant.initial_psnr=nan"])
+        assert "initial_psnr" in str(excinfo.value)
+
     def test_trace_file_must_exist(self, tmp_path):
         with pytest.raises(ConfigInvariantError):
             parse_config(
@@ -129,7 +165,7 @@ class TestRoundTrip:
         "overrides",
         [
             [],
-            ["objective.lambda=1.0", "gains.kd=0.0", "seed=77"],
+            ["objective.lambda=1.0", "gains.kd=0.0", "plant.disturbance.seed=77"],
             [
                 "plant.kind=zero_order",
                 "plant.disturbance.kind=step",
@@ -159,6 +195,70 @@ class TestRoundTrip:
             ],
         )
         assert parse_config_from_text(emit_config(config)) == config
+
+
+finite = st.floats(min_value=-1e3, max_value=1e3)
+nonnegative = st.floats(min_value=0.0, max_value=1e3)
+SYNTHETIC_CONFIG = st.fixed_dictionaries(
+    {
+        "objective.target_psnr": st.floats(min_value=1e-3, max_value=1e3),
+        "objective.lambda": st.floats(min_value=0.0, max_value=1.0),
+        "gains.kp": nonnegative,
+        "gains.ki": nonnegative,
+        "gains.kd": nonnegative,
+        "range.qp_min": st.integers(0, 25),
+        "range.qp_max": st.integers(26, 63),
+        "qp_offset": finite,
+        "kind_pattern": st.one_of(
+            st.sampled_from(["inter", "intra"]),
+            st.integers(1, 99).map(lambda n: f"intra_every:{n}"),
+        ),
+        "n_frames": st.integers(1, 10_000),
+        "mode": st.sampled_from([m.value for m in RunMode]),
+        "plant.kind": st.sampled_from(["zero_order", "first_order"]),
+        "plant.psnr_intercept": finite,
+        "plant.psnr_slope": st.floats(min_value=1e-6, max_value=1e3),
+        "plant.inertia": st.floats(min_value=0.0, max_value=0.999),
+        "plant.rate_ref_bits": st.floats(min_value=0.0, max_value=1e9),
+        "plant.rate_ref_qp": st.integers(-100, 100),
+        "plant.initial_psnr": st.one_of(st.just(None), finite),
+        "plant.disturbance.kind": st.sampled_from([k.value for k in DisturbanceKind]),
+        "plant.disturbance.amplitude": finite,
+        "plant.disturbance.period": st.integers(1, 1000),
+        "plant.disturbance.step_frame": st.integers(0, 10_000),
+        "plant.disturbance.seed": st.integers(0, 2**64 - 1),
+    }
+)
+
+
+@pytest.fixture(scope="module")
+def trace_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("trace") / "trace.csv"
+    path.write_text(TRACE_TEXT)
+    return path
+
+
+@given(values=SYNTHETIC_CONFIG, trace_frames=st.one_of(st.none(), st.integers(1, 2)))
+def test_emit_parse_round_trip_over_random_configs(trace_file, values, trace_frames):
+    if trace_frames is not None:
+        values = dict(
+            values,
+            **{
+                "plant.kind": "trace_driven",
+                "plant.trace_path": str(trace_file),
+                "n_frames": trace_frames,
+            },
+        )
+    def render(value):
+        if value is None:
+            return "none"
+        return value if isinstance(value, str) else repr(value)
+
+    overrides = [f"{key}={render(value)}" for key, value in values.items()]
+    config = parse_config(None, overrides)
+    text = emit_config(config)
+    assert parse_config_from_text(text) == config
+    assert emit_config(parse_config_from_text(text)) == text
 
 
 def parse_config_from_text(text):

@@ -160,7 +160,6 @@ class TestPidStep:
             state.error_integral, math.fsum(history), rel_tol=1e-9, abs_tol=1e-12
         )
         assert state.prev_error == history[-1]
-        assert state.prev_derivative_src == history[-2]
 
     def test_scaling_linearity_exact(self):
         # powers of two commute with IEEE rounding, so scaling is exact
@@ -369,7 +368,6 @@ class TestReset:
         for name in (
             "prev_error",
             "error_integral",
-            "prev_derivative_src",
             "o_integral",
             "o_double_integral",
             "prev_psnr",

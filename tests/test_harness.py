@@ -6,6 +6,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qpcontrol.controller import ControlObjective, FrameKind
 from qpcontrol.errors import DegenerateInputError, InputDomainError
@@ -228,6 +230,17 @@ class TestMetrics:
     def test_empty_trace_is_degenerate(self):
         with pytest.raises(DegenerateInputError):
             compute_metrics([], ControlObjective(target_psnr=30.0))
+
+    @given(
+        c=st.floats(min_value=-1e12, max_value=1e12),
+        n=st.integers(min_value=1, max_value=1000),
+    )
+    def test_constant_series_has_exactly_zero_fluctuation(self, c, n):
+        metrics = compute_metrics(
+            make_records([c] * n, [c] * n), ControlObjective(target_psnr=30.0)
+        )
+        assert metrics.quality_fluc_db == 0.0
+        assert metrics.bit_fluc == 0.0
 
     def test_single_frame_has_zero_fluctuation(self):
         metrics = compute_metrics(

@@ -184,6 +184,11 @@ class TestValidation:
         with pytest.raises(InputDomainError):
             PlantModel.first_order(-0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_initial_psnr_must_be_finite(self, bad):
+        with pytest.raises(InputDomainError):
+            PlantModel.first_order(0.5, initial_psnr=bad)
+
     def test_trace_driven_requires_table(self):
         with pytest.raises(InputDomainError):
             PlantModel(kind=PlantKind.TRACE_DRIVEN)
