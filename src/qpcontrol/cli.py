@@ -16,6 +16,7 @@ from pathlib import Path
 from .config import SCHEMA, parse_config
 from .errors import (
     ConfigError,
+    ConfigInvariantError,
     DegenerateInputError,
     InputDomainError,
     SequencingError,
@@ -33,6 +34,7 @@ from .harness import (
     write_metrics_json,
     write_trace_csv,
 )
+from .plant import PlantKind
 from .sysid import estimate_order, run_impulse
 
 
@@ -142,8 +144,30 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_impulse_coverage(config) -> None:
+    """The impulse drives range.qp_min at frame 0 and range.qp_max after it,
+    so a trace table must span each QP where it is driven. A table that
+    spans only part of the range is valid input for the other commands."""
+    plant = config.plant
+    if plant.kind is not PlantKind.TRACE_DRIVEN:
+        return
+    rows = plant.trace.rows
+    qp_range = config.qp_range
+    driven = [("range.qp_min", qp_range.qp_min)]
+    driven += [("range.qp_max", qp_range.qp_max)] * (config.n_frames - 1)
+    for t, (key, qp) in enumerate(driven):
+        lo, hi = rows[t][0][0], rows[t][-1][0]
+        if not lo <= qp <= hi:
+            raise ConfigInvariantError(
+                f"{key}={qp} lies outside the QPs the table "
+                f"plant.trace_path={plant.trace_path} tabulates at frame {t} "
+                f"[{lo}, {hi}]"
+            )
+
+
 def _cmd_identify(args: argparse.Namespace) -> int:
     config = _load_config(args)
+    _check_impulse_coverage(config)
     out = _out_dir(args)
     experiment = run_impulse(config.plant, config.qp_range, config.n_frames)
     estimate = estimate_order(experiment.response)

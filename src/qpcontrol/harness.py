@@ -11,13 +11,12 @@ index rather than completion time.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .controller import (
     ControllerState,
@@ -30,7 +29,7 @@ from .controller import (
     controller_frame,
 )
 from .errors import DegenerateInputError, InputDomainError
-from .plant import PlantKind, PlantModel, step_plant
+from .plant import PlantKind, PlantModel, plant_stepper, rate_model
 
 TRACE_CSV_HEADER = "frame,qp,psnr_db,bits,error,o"
 
@@ -98,10 +97,24 @@ class ExperimentConfig:
                     f"(plant.trace_path={self.plant.trace_path}): "
                     f"frame {missing} is not tabulated"
                 )
+            return
+        # Bits are monotone in QP, so the range ends bound every QP a run
+        # can visit.
+        plant = self.plant
+        for qp in (self.qp_range.qp_min, self.qp_range.qp_max):
+            try:
+                bits = rate_model(plant, qp)
+            except OverflowError:
+                bits = math.inf
+            if not math.isfinite(bits):
+                raise InputDomainError(
+                    f"plant.rate_ref_bits={plant.rate_ref_bits!r} with "
+                    f"plant.rate_ref_qp={plant.rate_ref_qp} gives {bits!r} bits "
+                    f"at qp {qp}"
+                )
 
 
-@dataclass(frozen=True)
-class FrameRecord:
+class FrameRecord(NamedTuple):
     """One row of a run trace."""
 
     frame: int
@@ -157,32 +170,24 @@ def _run(
     next_qp: Callable[[float | None, int], int],
     state: ControllerState,
 ) -> list[FrameRecord]:
-    """Step a fresh copy of the plant with ``next_qp(prev_psnr, t)`` per frame.
+    """Step the plant with ``next_qp(prev_psnr, t)`` per frame.
 
-    The recorded ``error`` is the frame's own error signal (recomputed from
-    the fresh measurement) and ``o`` is ``state.last_o``, the control
-    variable that produced the frame's QP.
+    The plant is resolved once into a per-run stepper, so the configured
+    model is never copied or mutated. The recorded ``error`` is the frame's
+    own error signal (recomputed from the fresh measurement) and ``o`` is
+    ``state.last_o``, the control variable that produced the frame's QP.
     """
-    plant = copy.copy(config.plant)  # the trace table is shared, never mutated
-    plant.reset()
+    step = plant_stepper(config.plant)
     objective = config.objective
     records: list[FrameRecord] = []
+    append = records.append
     prev_psnr: float | None = None
     for t in range(config.n_frames):
         qp = next_qp(prev_psnr, t)
-        outcome = step_plant(plant, qp, t)
-        error = compute_error(outcome.psnr, prev_psnr, objective)
-        records.append(
-            FrameRecord(
-                frame=t,
-                qp=qp,
-                psnr=outcome.psnr,
-                bits=outcome.bits,
-                error=error,
-                o=state.last_o,
-            )
-        )
-        prev_psnr = outcome.psnr
+        psnr, bits = step(qp, t)
+        error = compute_error(psnr, prev_psnr, objective)
+        append(FrameRecord(t, qp, psnr, bits, error, state.last_o))
+        prev_psnr = psnr
     return records
 
 

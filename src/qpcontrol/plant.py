@@ -11,16 +11,22 @@ Three plant flavours map a per-frame QP to PSNR and bits:
 
 ``w`` is a deterministic disturbance modelling content variation. Bits for
 the synthetic flavours follow the conventional halving-per-six-QP relation.
-A plant instance is sequential per stream; independent instances may run
-concurrently.
+
+``step_plant`` is the scalar reference: it steps a ``PlantModel`` one frame
+and keeps the previous output on the model. ``plant_stepper`` resolves a
+model once into a per-run closure with the same arithmetic in the same
+order; it keeps the previous output itself and never touches the model, so
+one model may back any number of concurrent runs.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import Callable
 
 from .errors import InputDomainError, TraceDomainError
 
@@ -50,7 +56,8 @@ class DisturbanceSpec:
     ``amplitude`` is in dB. Sinusoids use ``period`` frames per cycle, steps
     switch on at ``step_frame``, and seeded noise draws uniform values in
     [-amplitude, amplitude] from a counter-based mix of (seed, frame), so
-    equal seeds give bitwise-identical sequences.
+    equal seeds give bitwise-identical sequences. The seed is mixed once,
+    when the spec is built.
     """
 
     kind: DisturbanceKind = DisturbanceKind.NONE
@@ -58,6 +65,7 @@ class DisturbanceSpec:
     period: int = 0
     step_frame: int = 0
     seed: int = 0
+    seed_word: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.amplitude):
@@ -66,6 +74,7 @@ class DisturbanceSpec:
             raise InputDomainError(
                 f"sinusoid disturbance needs period >= 1, got {self.period}"
             )
+        object.__setattr__(self, "seed_word", _mix64(self.seed & _MASK64))
 
 
 def _mix64(x: int) -> int:
@@ -76,23 +85,43 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _no_disturbance(spec: DisturbanceSpec, t: int) -> float:
+    return 0.0
+
+
+def _constant(spec: DisturbanceSpec, t: int) -> float:
+    return spec.amplitude
+
+
+def _step(spec: DisturbanceSpec, t: int) -> float:
+    return spec.amplitude if t >= spec.step_frame else 0.0
+
+
+def _sinusoid(spec: DisturbanceSpec, t: int) -> float:
+    return spec.amplitude * math.sin(2.0 * math.pi * t / spec.period)
+
+
+def _seeded_noise(spec: DisturbanceSpec, t: int) -> float:
+    # uniform in [-amplitude, amplitude]
+    unit = _mix64(spec.seed_word ^ (t & _MASK64)) / float(1 << 64)  # [0, 1)
+    return spec.amplitude * (2.0 * unit - 1.0)
+
+
+# The only formula of each kind, shared by disturbance_at and the stepper.
+_DISTURBANCES: dict[DisturbanceKind, Callable[[DisturbanceSpec, int], float]] = {
+    DisturbanceKind.NONE: _no_disturbance,
+    DisturbanceKind.CONSTANT: _constant,
+    DisturbanceKind.STEP: _step,
+    DisturbanceKind.SINUSOID: _sinusoid,
+    DisturbanceKind.SEEDED_NOISE: _seeded_noise,
+}
+
+
 def disturbance_at(spec: DisturbanceSpec, frame_index: int) -> float:
     """Disturbance value (dB) at a frame; pure in (spec, frame_index)."""
     if frame_index < 0:
         raise InputDomainError("frame_index must be nonnegative")
-    kind = spec.kind
-    if kind is DisturbanceKind.NONE:
-        return 0.0
-    if kind is DisturbanceKind.CONSTANT:
-        return spec.amplitude
-    if kind is DisturbanceKind.STEP:
-        return spec.amplitude if frame_index >= spec.step_frame else 0.0
-    if kind is DisturbanceKind.SINUSOID:
-        return spec.amplitude * math.sin(2.0 * math.pi * frame_index / spec.period)
-    # seeded noise: uniform in [-amplitude, amplitude]
-    word = _mix64(_mix64(spec.seed & _MASK64) ^ (frame_index & _MASK64))
-    unit = word / float(1 << 64)  # [0, 1)
-    return spec.amplitude * (2.0 * unit - 1.0)
+    return _DISTURBANCES[spec.kind](spec, frame_index)
 
 
 @dataclass(frozen=True)
@@ -113,9 +142,9 @@ class FrameOutcome:
 class TraceTable:
     """Per-frame (qp, psnr, bits) rows parsed from a trace CSV.
 
-    ``rows[frame]`` is sorted by qp. Lookups are exact at tabulated QPs and
-    linear in qp between them; anything outside the tabulated span raises
-    TraceDomainError.
+    ``rows[frame]`` is sorted by qp, and lookups bisect it. Lookups are exact
+    at tabulated QPs and linear in qp between them; anything outside the
+    tabulated span raises TraceDomainError.
     """
 
     rows: dict[int, list[tuple[int, float, float]]]
@@ -163,21 +192,20 @@ class TraceTable:
         entries = self.rows.get(frame_index)
         if entries is None:
             raise TraceDomainError(f"frame {frame_index} is not tabulated")
-        if qp < entries[0][0] or qp > entries[-1][0]:
+        # (qp,) sorts just below the row (qp, psnr, bits), so i is the first
+        # row whose QP is not below qp. Bisecting the rows themselves keeps
+        # no per-frame QP index, which would add to peak memory.
+        i = bisect_left(entries, (qp,))
+        if i < len(entries) and entries[i][0] == qp:
+            return entries[i][1], entries[i][2]
+        if i == 0 or i == len(entries):
             raise TraceDomainError(
                 f"qp {qp} outside tabulated span "
                 f"[{entries[0][0]}, {entries[-1][0]}] at frame {frame_index}"
             )
-        lo = entries[0]
-        for entry in entries:
-            if entry[0] == qp:
-                return entry[1], entry[2]
-            if entry[0] > qp:
-                hi = entry
-                t = (qp - lo[0]) / (hi[0] - lo[0])
-                return lo[1] + t * (hi[1] - lo[1]), lo[2] + t * (hi[2] - lo[2])
-            lo = entry
-        raise TraceDomainError(f"qp {qp} not reachable at frame {frame_index}")
+        lo, hi = entries[i - 1], entries[i]
+        t = (qp - lo[0]) / (hi[0] - lo[0])
+        return lo[1] + t * (hi[1] - lo[1]), lo[2] + t * (hi[2] - lo[2])
 
 
 @dataclass
@@ -268,3 +296,68 @@ def step_plant(model: PlantModel, qp: int, frame_index: int) -> FrameOutcome:
         psnr = core + w
     model.prev_psnr = psnr
     return FrameOutcome(psnr=psnr, bits=rate_model(model, qp))
+
+
+class _RateTable(dict):
+    """Bits per QP for one run. ``rate_model`` fills each entry on the QP's
+    first use and the entry is checked as it is made; a QP range has no
+    size limit, so the table is not built ahead of the run."""
+
+    def __init__(self, model: PlantModel) -> None:
+        super().__init__()
+        self.model = model
+
+    def __missing__(self, qp: int) -> float:
+        bits = rate_model(self.model, qp)
+        if not (math.isfinite(bits) and bits >= 0):
+            raise InputDomainError(f"bits must be finite and >= 0, got {bits!r}")
+        self[qp] = bits
+        return bits
+
+
+def plant_stepper(
+    model: PlantModel, disturbance: DisturbanceSpec | None = None
+) -> Callable[[int, int], tuple[float, float]]:
+    """Resolve ``model`` once into ``step(qp, t) -> (psnr, bits)`` for one run.
+
+    Fed integer QPs at frames t = 0, 1, ..., the stepper returns bit for bit
+    what ``step_plant`` returns on a freshly reset model. It keeps the
+    previous PSNR itself, starting at ``initial_psnr``, and never mutates
+    or copies the model. ``disturbance``, when given, replaces the model's
+    own. A non-finite PSNR raises InputDomainError on the frame that makes
+    it.
+    """
+    isfinite = math.isfinite
+    if model.kind is PlantKind.TRACE_DRIVEN:
+        lookup = model.trace.lookup
+
+        def step(qp: int, t: int) -> tuple[float, float]:
+            psnr, bits = lookup(t, qp)
+            if not isfinite(psnr):
+                raise InputDomainError(f"psnr must be finite, got {psnr!r}")
+            return psnr, bits
+
+        return step
+
+    spec = model.disturbance if disturbance is None else disturbance
+    w_at = _DISTURBANCES[spec.kind]
+    rates = _RateTable(model)
+    intercept, slope = model.psnr_intercept, model.psnr_slope
+    first_order = model.kind is PlantKind.FIRST_ORDER
+    alpha, beta = model.inertia, 1.0 - model.inertia
+    prev = model.initial_psnr if first_order else None
+
+    def step(qp: int, t: int) -> tuple[float, float]:
+        nonlocal prev
+        core = intercept - slope * qp
+        if prev is None:
+            psnr = core + w_at(spec, t)
+        else:
+            psnr = alpha * prev + beta * core + w_at(spec, t)
+        if not isfinite(psnr):
+            raise InputDomainError(f"psnr must be finite, got {psnr!r}")
+        if first_order:
+            prev = psnr
+        return psnr, rates[qp]
+
+    return step

@@ -8,19 +8,20 @@ transient then separates a memoryless (order 0) response from a one-pole
 (order 1) response.
 
 All functions here are pure over their inputs and safe for parallel use;
-``run_impulse`` works on a private copy of the plant.
+``run_impulse`` steps the plant through a per-run stepper and never copies
+or mutates it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .controller import QpRange
 from .errors import DegenerateInputError, InputDomainError
 from .harness import mean, mean_about_first, pstd
-from .plant import DisturbanceSpec, PlantModel, step_plant
+from .plant import DisturbanceSpec, PlantModel, plant_stepper
 
 #: Smallest |pole| treated as real memory rather than numerical residue.
 DEFAULT_POLE_THRESHOLD = 0.05
@@ -59,7 +60,7 @@ class OrderEstimate:
 
 
 def run_impulse(plant: PlantModel, qp_range: QpRange, n: int) -> ImpulseExperiment:
-    """Drive a disturbance-free copy of the plant with a QP impulse.
+    """Drive the plant, with its disturbance left out, by a QP impulse.
 
     The input is ``qp_min`` at frame 0 and ``qp_max`` from frame 1 on. The
     response is each frame's PSNR minus the settled PSNR (mean of the last
@@ -70,11 +71,9 @@ def run_impulse(plant: PlantModel, qp_range: QpRange, n: int) -> ImpulseExperime
         raise InputDomainError(
             f"impulse run needs at least {MIN_RESPONSE_LENGTH} frames, got {n}"
         )
-    # A shallow copy: the trace table is shared, never mutated.
-    probe = replace(plant, disturbance=DisturbanceSpec())
-    probe.reset()
+    step = plant_stepper(plant, DisturbanceSpec())
     qps = (qp_range.qp_min,) + (qp_range.qp_max,) * (n - 1)
-    psnr = [step_plant(probe, qp, t).psnr for t, qp in enumerate(qps)]
+    psnr = [step(qp, t)[0] for t, qp in enumerate(qps)]
     settled = mean_about_first(psnr[-(n // 4):])
     response = tuple(value - settled for value in psnr)
     return ImpulseExperiment(qp_sequence=qps, length=n, response=response)

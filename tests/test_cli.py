@@ -252,6 +252,48 @@ class TestExitCodes:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["simulate", "identify"])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["plant.rate_ref_qp=10000"],
+            ["plant.rate_ref_bits=1e308", "plant.rate_ref_qp=40"],
+        ],
+        ids=["pow_overflows", "bits_overflow"],
+    )
+    def test_rate_overflow_exits_two_at_load(self, tmp_path, capsys, command, overrides):
+        args = [command, "--out", tmp_path]
+        for override in overrides:
+            args += ["--set", override]
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err
+        assert "plant.rate_ref_qp" in err and "plant.rate_ref_bits" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_identify_on_a_too_narrow_trace_exits_two_before_the_run(
+        self, tmp_path, capsys
+    ):
+        # 64 frames tabulating QPs 30 and 40 only; the impulse drives 0 and 51
+        trace = tmp_path / "narrow.csv"
+        trace.write_text(
+            "frame,qp,psnr_db,bits\n"
+            + "".join(f"{t},30,38.0,500000\n{t},40,34.0,200000\n" for t in range(64))
+        )
+        common = [
+            "--set", "plant.kind=trace_driven",
+            "--set", f"plant.trace_path={trace}",
+            "--set", "n_frames=64",
+        ]
+        out = tmp_path / "out"
+        assert run_cli("identify", "--out", out, *common) == 2
+        err = capsys.readouterr().err
+        assert "range.qp_min" in err and "plant.trace_path" in err
+        assert not out.exists()
+        assert run_cli("identify", "--out", out, *common, "--set", "range.qp_min=30") == 2
+        assert "range.qp_max" in capsys.readouterr().err
+        narrowed = common + ["--set", "range.qp_min=30", "--set", "range.qp_max=40"]
+        assert run_cli("identify", "--out", out, *narrowed) == 0
+
     def test_missing_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main([])

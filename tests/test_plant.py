@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qpcontrol.errors import InputDomainError, TraceDomainError
 from qpcontrol.plant import (
@@ -251,3 +253,47 @@ class TestTraceTable:
         assert step_plant(plant, 35, 1).psnr == pytest.approx(35.5)
         with pytest.raises(TraceDomainError):
             step_plant(plant, 32, 9)
+
+
+def linear_lookup(table, frame_index, qp):
+    """The lookup as a linear scan of the frame's rows: the reference the
+    bisecting lookup must match bit for bit, errors included."""
+    entries = table.rows.get(frame_index)
+    if entries is None:
+        raise TraceDomainError(f"frame {frame_index} is not tabulated")
+    if qp < entries[0][0] or qp > entries[-1][0]:
+        raise TraceDomainError(
+            f"qp {qp} outside tabulated span "
+            f"[{entries[0][0]}, {entries[-1][0]}] at frame {frame_index}"
+        )
+    lo = entries[0]
+    for entry in entries:
+        if entry[0] == qp:
+            return entry[1], entry[2]
+        if entry[0] > qp:
+            t = (qp - lo[0]) / (entry[0] - lo[0])
+            return lo[1] + t * (entry[1] - lo[1]), lo[2] + t * (entry[2] - lo[2])
+        lo = entry
+
+
+def outcome_of(lookup, *args):
+    try:
+        psnr, bits = lookup(*args)
+    except TraceDomainError as exc:
+        return str(exc)
+    return psnr.hex(), bits.hex()
+
+
+@given(
+    qps=st.sets(st.integers(-10, 60), min_size=1, max_size=12),
+    data=st.data(),
+    frame_index=st.integers(0, 1),
+    qp=st.integers(-15, 65),
+)
+def test_lookup_matches_a_linear_scan(qps, data, frame_index, qp):
+    values = st.floats(0.0, 1e6)
+    rows = {0: [(q, data.draw(values), data.draw(values)) for q in sorted(qps)]}
+    table = TraceTable(rows)
+    assert outcome_of(table.lookup, frame_index, qp) == outcome_of(
+        linear_lookup, table, frame_index, qp
+    )

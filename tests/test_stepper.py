@@ -1,0 +1,223 @@
+"""Differential tests: the per-run plant stepper and the run loop against the
+step-by-step primitives, compared bit for bit with ``float.hex`` so that a
+-0.0 against a 0.0 counts as a difference."""
+
+import dataclasses
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qpcontrol.controller import (
+    ControllerState,
+    ControlObjective,
+    PidGains,
+    QpRange,
+    clamp_round_qp,
+    compute_error,
+    controller_frame,
+)
+from qpcontrol.errors import InputDomainError
+from qpcontrol.harness import (
+    ExperimentConfig,
+    RunMode,
+    parse_kind_pattern,
+    run_closed_loop,
+    run_fixed_qp,
+)
+from qpcontrol.plant import (
+    DisturbanceKind,
+    DisturbanceSpec,
+    PlantKind,
+    PlantModel,
+    TraceTable,
+    plant_stepper,
+    step_plant,
+)
+
+QP_MIN, QP_MAX = 0, 51
+MAX_FRAMES = 40
+
+disturbances = st.builds(
+    DisturbanceSpec,
+    kind=st.sampled_from(DisturbanceKind),
+    amplitude=st.floats(-5.0, 5.0),
+    period=st.integers(1, 60),
+    step_frame=st.integers(0, MAX_FRAMES),
+    seed=st.integers(-(2**70), 2**70),
+)
+
+synthetic_plants = st.builds(
+    PlantModel,
+    kind=st.sampled_from([PlantKind.ZERO_ORDER, PlantKind.FIRST_ORDER]),
+    psnr_intercept=st.floats(20.0, 80.0),
+    psnr_slope=st.floats(0.01, 2.0),
+    inertia=st.floats(0.0, 1.0, exclude_max=True),
+    rate_ref_bits=st.floats(0.0, 1e7),
+    rate_ref_qp=st.integers(QP_MIN, QP_MAX),
+    disturbance=disturbances,
+    initial_psnr=st.none() | st.floats(0.0, 60.0),
+)
+
+
+@st.composite
+def trace_plants(draw):
+    """A trace-driven plant whose every frame spans [QP_MIN, QP_MAX] with a
+    few tabulated QPs in between, so most QPs interpolate."""
+    rows = {}
+    for t in range(MAX_FRAMES):
+        inner = draw(st.sets(st.integers(QP_MIN + 1, QP_MAX - 1), max_size=6))
+        rows[t] = [
+            (qp, draw(st.floats(0.0, 60.0)), draw(st.floats(0.0, 1e6)))
+            for qp in sorted({QP_MIN, QP_MAX, *inner})
+        ]
+    return PlantModel.trace_driven(
+        TraceTable(rows),
+        disturbance=draw(disturbances),
+        initial_psnr=draw(st.none() | st.floats(0.0, 60.0)),
+    )
+
+
+plants = synthetic_plants | trace_plants()
+
+
+def bit_pattern(pairs):
+    return [(psnr.hex(), bits.hex()) for psnr, bits in pairs]
+
+
+def record_bits(records):
+    return [
+        (r.frame, r.qp, r.psnr.hex(), r.bits.hex(), r.error.hex(), r.o.hex())
+        for r in records
+    ]
+
+
+@given(
+    plant=plants,
+    override=st.none() | disturbances,
+    qps=st.lists(st.integers(QP_MIN, QP_MAX), min_size=1, max_size=MAX_FRAMES),
+)
+def test_stepper_matches_step_plant_bit_for_bit(plant, override, qps):
+    step = plant_stepper(plant, override)
+    reference = plant if override is None else dataclasses.replace(
+        plant, disturbance=override
+    )
+    want = [step_plant(reference, qp, t) for t, qp in enumerate(qps)]
+    got = [step(qp, t) for t, qp in enumerate(qps)]
+    assert bit_pattern(got) == bit_pattern((o.psnr, o.bits) for o in want)
+
+
+def reference_run(config):
+    """A run built from the primitives alone: controller_frame (or the held
+    anchor QP) + step_plant + compute_error, on a reset copy of the plant."""
+    plant = dataclasses.replace(config.plant)
+    plant.reset()
+    kind_at = parse_kind_pattern(config.kind_pattern)
+    state = ControllerState(qp_offset=config.qp_offset)
+    anchor = clamp_round_qp(config.qp_offset, config.qp_range)
+    records, prev = [], None
+    for t in range(config.n_frames):
+        if config.mode is RunMode.CONTROLLED:
+            qp = controller_frame(
+                prev, kind_at(t), state, config.gains, config.objective, config.qp_range
+            )
+        else:
+            qp = anchor
+        outcome = step_plant(plant, qp, t)
+        error = compute_error(outcome.psnr, prev, config.objective)
+        o = state.last_o
+        records.append(
+            (t, qp, outcome.psnr.hex(), outcome.bits.hex(), error.hex(), o.hex())
+        )
+        prev = outcome.psnr
+    return records
+
+
+@st.composite
+def configs(draw):
+    qp_min = draw(st.integers(QP_MIN, QP_MAX))
+    return ExperimentConfig(
+        plant=draw(plants),
+        objective=ControlObjective(
+            target_psnr=draw(st.floats(20.0, 50.0)), lambda_=draw(st.floats(0.0, 1.0))
+        ),
+        gains=PidGains(
+            kp=draw(st.floats(0.0, 4.0)),
+            ki=draw(st.floats(0.0, 1.0)),
+            kd=draw(st.floats(0.0, 2.0)),
+        ),
+        qp_range=QpRange(qp_min, draw(st.integers(qp_min, QP_MAX))),
+        qp_offset=draw(st.floats(-10.0, 60.0)),
+        kind_pattern=draw(st.sampled_from(["inter", "intra", "intra_every:3"])),
+        n_frames=draw(st.integers(1, MAX_FRAMES)),
+        mode=draw(st.sampled_from(RunMode)),
+    )
+
+
+@settings(max_examples=60)
+@given(config=configs())
+def test_run_records_match_the_primitive_loop(config):
+    before = dict(vars(config.plant))
+    run = run_closed_loop if config.mode is RunMode.CONTROLLED else run_fixed_qp
+    assert record_bits(run(config)) == reference_run(config)
+    assert vars(config.plant) == before
+
+
+OVERFLOWING = PlantModel.zero_order(
+    psnr_intercept=1e308,
+    disturbance=DisturbanceSpec(kind=DisturbanceKind.CONSTANT, amplitude=1e308),
+)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: plant_stepper(OVERFLOWING)(32, 0),
+        lambda: run_closed_loop(
+            ExperimentConfig(plant=OVERFLOWING, objective=ControlObjective(37.2))
+        ),
+        lambda: run_fixed_qp(
+            ExperimentConfig(
+                plant=OVERFLOWING,
+                objective=ControlObjective(37.2),
+                mode=RunMode.FIXED_QP,
+            )
+        ),
+    ],
+    ids=["stepper", "closed_loop", "fixed_qp"],
+)
+def test_psnr_overflow_raises_on_the_frame(run):
+    with pytest.raises(InputDomainError, match="psnr must be finite"):
+        run()
+
+
+def test_non_finite_bits_raise_when_the_rate_entry_is_made():
+    step = plant_stepper(PlantModel.zero_order(rate_ref_bits=1e308, rate_ref_qp=40))
+    assert step(40, 0)[1] == 1e308
+    with pytest.raises(InputDomainError, match="bits must be finite"):
+        step(0, 1)
+
+
+def test_one_config_runs_on_many_threads_at_once():
+    config = ExperimentConfig(
+        plant=PlantModel.first_order(
+            0.5,
+            disturbance=DisturbanceSpec(
+                kind=DisturbanceKind.SEEDED_NOISE, amplitude=1.0, seed=8
+            ),
+        ),
+        objective=ControlObjective(target_psnr=37.2),
+        n_frames=400,
+    )
+    want = run_closed_loop(config)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(run_closed_loop, config) for _ in range(16)]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(result == want for result in results)
