@@ -218,6 +218,16 @@ def _parse_grid(grid_args: list[str]) -> list[tuple[str, list[str]]]:
     return axes
 
 
+def _point_metrics(args: argparse.Namespace, grid_overrides: list[str]):
+    """Parse, run and summarise one grid point. Only the metrics outlive the
+    call, so a point's config and trace table are freed before the next
+    point is parsed."""
+    config = parse_config(
+        args.config, list(args.overrides) + grid_overrides + _flag_overrides(args)
+    )
+    return compute_metrics(_run_for_mode(config), config.objective)
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if not args.grid:
         print("error: sweep requires at least one --grid axis", file=sys.stderr)
@@ -237,13 +247,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ]
     rows = [",".join(header)]
     for combo in points:
-        grid_overrides = [f"{key}={value}" for key, value in zip(keys, combo)]
-        config = parse_config(
-            args.config,
-            list(args.overrides) + grid_overrides + _flag_overrides(args),
+        metrics = _point_metrics(
+            args, [f"{key}={value}" for key, value in zip(keys, combo)]
         )
-        records = _run_for_mode(config)
-        metrics = compute_metrics(records, config.objective)
         cells = list(combo) + [
             f"{metrics.avg_psnr:.6f}",
             f"{metrics.control_error_db:.6f}",

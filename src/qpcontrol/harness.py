@@ -1,12 +1,12 @@
 """Closed-loop and fixed-QP simulation runs plus their summary metrics.
 
 A run pairs one controller stream with one plant instance: each frame the
-controller turns the previous frame's PSNR into a QP, the plant encodes,
-and the outcome is appended to the trace. The fixed-QP variant holds the
-rounded anchor QP and serves as the uncontrolled baseline. Every run is
-deterministic in its configuration; experiments share no mutable state, so
-many configurations may execute concurrently, ordered by configuration
-index rather than completion time.
+controller turns the previous frame's error signal into a QP, the plant
+encodes, and the outcome is appended to the trace. The fixed-QP variant
+holds the rounded anchor QP and serves as the uncontrolled baseline. Every
+run is deterministic in its configuration; experiments share no mutable
+state, so many configurations may execute concurrently, ordered by
+configuration index rather than completion time.
 """
 
 from __future__ import annotations
@@ -19,14 +19,12 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 from .controller import (
-    ControllerState,
     ControlObjective,
     FrameKind,
     PidGains,
     QpRange,
     clamp_round_qp,
-    compute_error,
-    controller_frame,
+    controller_stepper,
 )
 from .errors import DegenerateInputError, InputDomainError
 from .plant import PlantKind, PlantModel, plant_stepper, rate_model
@@ -112,6 +110,14 @@ class ExperimentConfig:
                     f"plant.rate_ref_qp={plant.rate_ref_qp} gives {bits!r} bits "
                     f"at qp {qp}"
                 )
+        # The largest bits, at qp_min, bound the total compute_metrics sums.
+        most = rate_model(plant, self.qp_range.qp_min)
+        if not math.isfinite(most * self.n_frames):
+            raise InputDomainError(
+                f"plant.rate_ref_bits={plant.rate_ref_bits!r} gives {most!r} bits "
+                f"at range.qp_min={self.qp_range.qp_min}, and n_frames="
+                f"{self.n_frames} such frames sum past the float range"
+            )
 
 
 class FrameRecord(NamedTuple):
@@ -167,26 +173,32 @@ class ComparisonReport:
 
 def _run(
     config: ExperimentConfig,
-    next_qp: Callable[[float | None, int], int],
-    state: ControllerState,
+    next_qp: Callable[[float | None, int], tuple[int, float]],
 ) -> list[FrameRecord]:
-    """Step the plant with ``next_qp(prev_psnr, t)`` per frame.
+    """Step the plant with ``next_qp(error, t) -> (qp, o)`` per frame.
 
-    The plant is resolved once into a per-run stepper, so the configured
-    model is never copied or mutated. The recorded ``error`` is the frame's
-    own error signal (recomputed from the fresh measurement) and ``o`` is
-    ``state.last_o``, the control variable that produced the frame's QP.
+    ``error`` is the previous frame's error signal, None at frame 0. The
+    plant is resolved once into a per-run stepper, so the configured model
+    is never copied or mutated. Each frame's error is computed once, from
+    the fresh measurement with the ``compute_error`` formula; it is
+    recorded and passed on to the next frame's ``next_qp``. The recorded
+    ``o`` is the control variable that produced the frame's QP.
     """
     step = plant_stepper(config.plant)
-    objective = config.objective
+    lam = config.objective.lambda_
+    keep = 1.0 - lam
+    target = config.objective.target_psnr
     records: list[FrameRecord] = []
     append = records.append
+    record = tuple.__new__
+    error: float | None = None
     prev_psnr: float | None = None
     for t in range(config.n_frames):
-        qp = next_qp(prev_psnr, t)
+        qp, o = next_qp(error, t)
         psnr, bits = step(qp, t)
-        error = compute_error(psnr, prev_psnr, objective)
-        append(FrameRecord(t, qp, psnr, bits, error, state.last_o))
+        fluctuation = 0.0 if prev_psnr is None else psnr - prev_psnr
+        error = lam * (psnr - target) + keep * fluctuation
+        append(record(FrameRecord, (t, qp, psnr, bits, error, o)))
         prev_psnr = psnr
     return records
 
@@ -194,19 +206,19 @@ def _run(
 def run_closed_loop(config: ExperimentConfig) -> list[FrameRecord]:
     """Run the controller against the configured plant for ``n_frames``.
 
-    Frame t's QP comes from the controller fed with frame t-1's PSNR.
+    Frame t's QP comes from the controller fed with frame t-1's error,
+    through a per-run ``controller_stepper``.
     """
     if config.mode is not RunMode.CONTROLLED:
         raise InputDomainError("run_closed_loop requires mode=controlled")
-    kind_at = parse_kind_pattern(config.kind_pattern)
-    state = ControllerState(qp_offset=config.qp_offset)
-    gains, objective, qp_range = config.gains, config.objective, config.qp_range
     return _run(
         config,
-        lambda prev_psnr, t: controller_frame(
-            prev_psnr, kind_at(t), state, gains, objective, qp_range
+        controller_stepper(
+            config.qp_offset,
+            parse_kind_pattern(config.kind_pattern),
+            config.gains,
+            config.qp_range,
         ),
-        state,
     )
 
 
@@ -217,9 +229,8 @@ def run_fixed_qp(config: ExperimentConfig) -> list[FrameRecord]:
     """
     if config.mode is not RunMode.FIXED_QP:
         raise InputDomainError("run_fixed_qp requires mode=fixed")
-    qp = clamp_round_qp(config.qp_offset, config.qp_range)
-    # A state that is never stepped keeps last_o at 0.0.
-    return _run(config, lambda prev_psnr, t: qp, ControllerState())
+    held = (clamp_round_qp(config.qp_offset, config.qp_range), 0.0)
+    return _run(config, lambda error, t: held)
 
 
 def mean(xs: Sequence[float]) -> float:
@@ -241,23 +252,31 @@ def pstd(xs: Sequence[float]) -> float:
     return math.sqrt(math.fsum([(x - m) * (x - m) for x in xs]) / len(xs))
 
 
+def _mean_pstd(column: str, xs: Sequence[float]) -> tuple[float, float]:
+    try:
+        return mean(xs), pstd(xs)
+    except OverflowError:
+        raise InputDomainError(
+            f"the run's {column} column sums past the float range"
+        ) from None
+
+
 def compute_metrics(
     records: Sequence[FrameRecord], objective: ControlObjective
 ) -> MetricsReport:
     """Summarize a trace into the six report metrics."""
     if not records:
         raise DegenerateInputError("cannot compute metrics over an empty trace")
-    psnr = [r.psnr for r in records]
-    bits = [r.bits for r in records]
-    avg_psnr = mean(psnr)
+    avg_psnr, quality_fluc_db = _mean_pstd("psnr", [r.psnr for r in records])
+    bitrate_mean, bit_fluc = _mean_pstd("bits", [r.bits for r in records])
     control_error_db = abs(avg_psnr - objective.target_psnr)
     return MetricsReport(
         avg_psnr=avg_psnr,
         control_error_db=control_error_db,
         control_error_pct=100.0 * control_error_db / objective.target_psnr,
-        quality_fluc_db=pstd(psnr),
-        bitrate_mean=mean(bits),
-        bit_fluc=pstd(bits),
+        quality_fluc_db=quality_fluc_db,
+        bitrate_mean=bitrate_mean,
+        bit_fluc=bit_fluc,
     )
 
 

@@ -270,6 +270,39 @@ class TestExitCodes:
         assert "plant.rate_ref_qp" in err and "plant.rate_ref_bits" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_bits_total_overflow_exits_two_at_load(self, tmp_path, capsys):
+        # each frame's 1e306 bits is finite, but 300 of them are not
+        code = run_cli(
+            "simulate",
+            "--out", tmp_path,
+            "--set", "plant.rate_ref_bits=1e306",
+            "--set", "range.qp_min=32",
+            "--mode", "fixed",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "plant.rate_ref_bits" in err and "n_frames" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_trace_bits_total_overflow_exits_three(self, tmp_path, capsys):
+        trace = tmp_path / "huge.csv"
+        trace.write_text(
+            "frame,qp,psnr_db,bits\n"
+            "0,30,38.0,1e308\n0,40,34.0,1e308\n"
+            "1,30,37.5,1e308\n1,40,33.5,1e308\n"
+        )
+        code = run_cli(
+            "simulate",
+            "--out", tmp_path / "out",
+            "--set", "plant.kind=trace_driven",
+            "--set", f"plant.trace_path={trace}",
+            "--set", "n_frames=2",
+            "--mode", "fixed",
+            "--set", "qp_offset=35",
+        )
+        assert code == 3
+        assert "bits column" in capsys.readouterr().err
+
     def test_identify_on_a_too_narrow_trace_exits_two_before_the_run(
         self, tmp_path, capsys
     ):

@@ -1,7 +1,7 @@
 """Byte-golden CLI regression: the sha256 of every file the CLI writes.
 
 The digests pin the exact bytes ``simulate``, ``compare``, ``identify`` and
-``sweep`` emit on four configurations, so a change meant to keep behaviour
+``sweep`` emit on six configurations, so a change meant to keep behaviour
 fails here if it moves a single output byte. Sinusoid disturbances are left
 out on purpose: the last ulp of ``math.sin`` belongs to the platform's libm.
 """
@@ -27,6 +27,16 @@ CONFIGS = {
         "kind_pattern=intra_every:12",
     ],
     "fixed": ["mode=fixed"],
+    # The QP winds up at the qp_min clamp and stays there.
+    "target_60": ["objective.target_psnr=60"],
+    # The double-integral policy on every frame; the step gives it a nonzero
+    # error, since at the defaults the PSNR sits exactly on the target.
+    "intra_step": [
+        "kind_pattern=intra",
+        "plant.disturbance.kind=step",
+        "plant.disturbance.amplitude=2.0",
+        "plant.disturbance.step_frame=100",
+    ],
 }
 
 COMMANDS = {
@@ -37,7 +47,9 @@ COMMANDS = {
 }
 
 # Recorded from the CLI before the per-run plant stepper replaced
-# step_plant in the run loop; regenerate only for an intended output change.
+# step_plant in the run loop (target_60 and intra_step: before the per-run
+# controller stepper replaced controller_frame); regenerate only for an
+# intended output change.
 GOLDEN = {
     ('defaults', 'simulate'): {
         'metrics.json': '982d700cc19376ad00c382d46c45504a4a414fc27c6a8ef15918737072fdfca6',
@@ -102,6 +114,38 @@ GOLDEN = {
     },
     ('fixed', 'sweep'): {
         'sweep.csv': '9746ede2b4877bdd4cba2bd53993a5d13fa2ece45d75e0283c24015d08ef6d34',
+    },
+    ('target_60', 'simulate'): {
+        'metrics.json': '2e101438d1a0de15e266520803373dddc0c47e7c6478c673e37eba6d0663a49c',
+        'trace.csv': 'd7b2bf460e0b406dec5fb1fb34abdec8de0a5b14b9ee4127e39a41303a8c4e1b',
+    },
+    ('target_60', 'compare'): {
+        'comparison.txt': '3d14f7ada414d6443b80eb38ba2d11c3fea73a09a6c9236b209ec88455265938',
+        'metrics_controlled.json': '2e101438d1a0de15e266520803373dddc0c47e7c6478c673e37eba6d0663a49c',
+        'metrics_fixed.json': '38d72e01d76c0f8d9f8bc8b8e97fb2ceb1d3eb1423f161042113d39270398368',
+    },
+    ('target_60', 'identify'): {
+        'identify_report.txt': '77538b9804959d13291028fb686557395a314fdfd173998aa472d1eb12d11dfd',
+        'impulse_response.csv': 'ad86a8b171b35443271a93c51d20ba53e6604c714de1251c5329fe25585a059b',
+    },
+    ('target_60', 'sweep'): {
+        'sweep.csv': '9e9854d24645a9c60812140ef1a30b34b6e6a20ed8c54ad6dac505c51f60df5a',
+    },
+    ('intra_step', 'simulate'): {
+        'metrics.json': '15a238a203b8899d61de2d84cfe1e3de9acce5c3adb01d460c9f234c8fc5d49f',
+        'trace.csv': '19b99354989072289ed747ecbebde936f40f7e4ef6ee3e8a303ed098e5dcc6cd',
+    },
+    ('intra_step', 'compare'): {
+        'comparison.txt': '766d719d75e43bee0f6fd7b111bd9a39d41b5f0a26bb05944ea2716c08206a8b',
+        'metrics_controlled.json': '15a238a203b8899d61de2d84cfe1e3de9acce5c3adb01d460c9f234c8fc5d49f',
+        'metrics_fixed.json': 'b7ec284cbc5f9f1f875015104614a65c2f36f001f1eef3af12c5a697de787595',
+    },
+    ('intra_step', 'identify'): {
+        'identify_report.txt': '77538b9804959d13291028fb686557395a314fdfd173998aa472d1eb12d11dfd',
+        'impulse_response.csv': 'ad86a8b171b35443271a93c51d20ba53e6604c714de1251c5329fe25585a059b',
+    },
+    ('intra_step', 'sweep'): {
+        'sweep.csv': '2afe7bd6480e99ee33674cda0778fb4225783f1050b4544eeda477d3913a37d9',
     },
 }
 

@@ -1,5 +1,5 @@
-"""Differential tests: the per-run plant stepper and the run loop against the
-step-by-step primitives, compared bit for bit with ``float.hex`` so that a
+"""Differential tests: the per-run plant and controller steppers and the run
+loop against the step-by-step primitives, compared bit for bit with ``float.hex`` so that a
 -0.0 against a 0.0 counts as a difference."""
 
 import dataclasses
@@ -7,7 +7,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpcontrol.controller import (
@@ -18,6 +18,7 @@ from qpcontrol.controller import (
     clamp_round_qp,
     compute_error,
     controller_frame,
+    controller_stepper,
 )
 from qpcontrol.errors import InputDomainError
 from qpcontrol.harness import (
@@ -107,6 +108,124 @@ def test_stepper_matches_step_plant_bit_for_bit(plant, override, qps):
     want = [step_plant(reference, qp, t) for t, qp in enumerate(qps)]
     got = [step(qp, t) for t, qp in enumerate(qps)]
     assert bit_pattern(got) == bit_pattern((o.psnr, o.bits) for o in want)
+
+
+def controller_outcomes(psnrs, frame_qp):
+    """``frame_qp(psnr_prev_frame, t) -> (qp, o)`` over frames 0..len(psnrs);
+    each frame's ``(qp, o.hex())``, ending with the exception type on the
+    frame that raises."""
+    outcomes = []
+    for t, psnr in enumerate([None, *psnrs]):
+        try:
+            qp, o = frame_qp(psnr, t)
+        except Exception as exc:
+            outcomes.append(type(exc))
+            break
+        outcomes.append((qp, o.hex()))
+    return outcomes
+
+
+wide = st.floats(-1e308, 1e308)
+gain_values = st.floats(0.0, 4.0) | st.floats(0.0, 1e300)
+
+
+@settings(max_examples=300)
+@given(
+    gains=st.builds(PidGains, kp=gain_values, ki=gain_values, kd=gain_values),
+    objective=st.builds(
+        ControlObjective,
+        target_psnr=st.floats(20.0, 50.0) | st.floats(0.0, 1e308, exclude_min=True),
+        lambda_=st.floats(0.0, 1.0),
+    ),
+    qp_bounds=st.lists(st.integers(-60, 60), min_size=2, max_size=2).map(sorted),
+    qp_offset=st.floats(-10.0, 60.0) | wide,
+    kind_pattern=st.sampled_from(["inter", "intra"])
+    | st.integers(1, 5).map(lambda n: f"intra_every:{n}"),
+    psnrs=st.lists(st.floats(20.0, 50.0) | wide, max_size=MAX_FRAMES),
+)
+@example(  # psnr - prev_psnr overflows on frame 2: a non-finite error
+    gains=PidGains(),
+    objective=ControlObjective(37.2),
+    qp_bounds=[0, 51],
+    qp_offset=32.0,
+    kind_pattern="intra",
+    psnrs=[1e308, -1e308, 40.0],
+)
+@example(  # a negative tie rounds away from zero, to -3
+    gains=PidGains(),
+    objective=ControlObjective(37.2),
+    qp_bounds=[-10, 10],
+    qp_offset=-2.5,
+    kind_pattern="inter",
+    psnrs=[],
+)
+def test_controller_stepper_matches_controller_frame_bit_for_bit(
+    gains, objective, qp_bounds, qp_offset, kind_pattern, psnrs
+):
+    qp_range = QpRange(*qp_bounds)
+    kind_at = parse_kind_pattern(kind_pattern)
+    state = ControllerState(qp_offset=qp_offset)
+
+    def reference(psnr, t):
+        qp = controller_frame(psnr, kind_at(t), state, gains, objective, qp_range)
+        return qp, state.last_o
+
+    step = controller_stepper(qp_offset, kind_at, gains, qp_range)
+    error, prev = None, None
+
+    def stepped(psnr, t):
+        nonlocal error, prev
+        if psnr is not None:
+            error, prev = compute_error(psnr, prev, objective), psnr
+        return step(error, t)
+
+    assert controller_outcomes(psnrs, stepped) == controller_outcomes(psnrs, reference)
+
+
+@pytest.mark.parametrize(
+    "gains, psnrs, message",
+    [
+        # psnr - prev_psnr overflows, so the error is -inf
+        (PidGains(), [1e308, -1e308], "error must be finite"),
+        # kp * error overflows
+        (PidGains(kp=1e300), [1e300], "o must be finite"),
+        # o is finite, but qp_offset + o_integral is not
+        (PidGains(kp=2.0, ki=0.0, kd=0.0), [1e308, 1e308], "raw_qp must be finite"),
+    ],
+    ids=["error", "o", "raw_qp"],
+)
+def test_controller_stepper_raises_where_the_primitives_raise(gains, psnrs, message):
+    objective = ControlObjective(target_psnr=37.2, lambda_=0.5)
+    kind_at = parse_kind_pattern("inter")
+    qp_range = QpRange()
+    state = ControllerState(qp_offset=32.0)
+    step = controller_stepper(32.0, kind_at, gains, qp_range)
+    errors, prev = [None], None
+    for psnr in psnrs:
+        errors.append(compute_error(psnr, prev, objective))
+        prev = psnr
+    *settled, (t, psnr, error) = zip(range(len(errors)), [None, *psnrs], errors)
+    for t_ok, psnr_ok, error_ok in settled:
+        controller_frame(psnr_ok, kind_at(t_ok), state, gains, objective, qp_range)
+        step(error_ok, t_ok)
+    with pytest.raises(InputDomainError, match=message):
+        controller_frame(psnr, kind_at(t), state, gains, objective, qp_range)
+    with pytest.raises(InputDomainError, match=message):
+        step(error, t)
+
+
+def test_controller_stepper_checks_the_frame_zero_contract():
+    kind_at = parse_kind_pattern("inter")
+    with pytest.raises(InputDomainError, match="frame 0 has no preceding frame"):
+        controller_stepper(32.0, kind_at, PidGains(), QpRange())(0.5, 0)
+    step = controller_stepper(32.0, kind_at, PidGains(), QpRange())
+    assert step(None, 0) == (32, 0.0)
+    with pytest.raises(InputDomainError, match="frame 1 requires the error of frame 0"):
+        step(None, 1)
+    with pytest.raises(InputDomainError, match="qp_offset must be finite"):
+        controller_stepper(float("nan"), kind_at, PidGains(), QpRange())
+    with pytest.raises(InputDomainError, match="kind must be a FrameKind"):
+        controller_stepper(32.0, lambda t: "inter", PidGains(), QpRange())(None, 0)
 
 
 def reference_run(config):
