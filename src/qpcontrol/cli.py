@@ -8,7 +8,6 @@ and seed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import sys
 from pathlib import Path
@@ -24,13 +23,14 @@ from .errors import (
     UnknownConfigKey,
 )
 from .harness import (
+    MetricsReport,
     RunMode,
     compare,
     comparison_text,
     compute_metrics,
-    metrics_json_text,
     run_closed_loop,
     run_fixed_qp,
+    summary_line,
     write_metrics_json,
     write_trace_csv,
 )
@@ -103,18 +103,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _flag_overrides(args: argparse.Namespace) -> list[str]:
-    # Dedicated flags win over --set.
-    overrides: list[str] = []
+def _load_config(args: argparse.Namespace, grid_overrides=()):
+    # A grid point wins over --set, and the dedicated flags win over both.
+    overrides = [*args.overrides, *grid_overrides]
     if args.seed is not None:
         overrides.append(f"plant.disturbance.seed={args.seed}")
     if args.mode is not None:
         overrides.append(f"mode={args.mode}")
-    return overrides
-
-
-def _load_config(args: argparse.Namespace):
-    return parse_config(args.config, list(args.overrides) + _flag_overrides(args))
+    return parse_config(args.config, overrides)
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -124,6 +120,7 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def _run_for_mode(config):
+    # The one place that reads config.mode.
     if config.mode is RunMode.CONTROLLED:
         return run_closed_loop(config)
     return run_fixed_qp(config)
@@ -136,11 +133,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     metrics = compute_metrics(records, config.objective)
     write_trace_csv(records, out / "trace.csv")
     write_metrics_json(metrics, out / "metrics.json")
-    print(
-        f"{config.mode.value}: {len(records)} frames, "
-        f"avg_psnr={metrics.avg_psnr:.4f} dB, "
-        f"quality_fluc={metrics.quality_fluc_db:.4f} dB"
-    )
+    print(summary_line(config.mode, len(records), metrics))
     return 0
 
 
@@ -189,10 +182,8 @@ def _cmd_identify(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     config = _load_config(args)
     out = _out_dir(args)
-    controlled_cfg = dataclasses.replace(config, mode=RunMode.CONTROLLED)
-    fixed_cfg = dataclasses.replace(config, mode=RunMode.FIXED_QP)
-    controlled = compute_metrics(run_closed_loop(controlled_cfg), config.objective)
-    baseline = compute_metrics(run_fixed_qp(fixed_cfg), config.objective)
+    controlled = compute_metrics(run_closed_loop(config), config.objective)
+    baseline = compute_metrics(run_fixed_qp(config), config.objective)
     report = compare(controlled, baseline)
     text = comparison_text(report)
     (out / "comparison.txt").write_text(text)
@@ -222,9 +213,7 @@ def _point_metrics(args: argparse.Namespace, grid_overrides: list[str]):
     """Parse, run and summarise one grid point. Only the metrics outlive the
     call, so a point's config and trace table are freed before the next
     point is parsed."""
-    config = parse_config(
-        args.config, list(args.overrides) + grid_overrides + _flag_overrides(args)
-    )
+    config = _load_config(args, grid_overrides)
     return compute_metrics(_run_for_mode(config), config.objective)
 
 
@@ -237,27 +226,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     keys = [key for key, _ in axes]
     # duplicate grid points are dropped
     points = list(dict.fromkeys(itertools.product(*(values for _, values in axes))))
-    header = keys + [
-        "avg_psnr",
-        "control_error_db",
-        "control_error_pct",
-        "quality_fluc_db",
-        "bitrate_mean",
-        "bit_fluc",
-    ]
+    header = keys + list(MetricsReport._fields)
     rows = [",".join(header)]
     for combo in points:
         metrics = _point_metrics(
             args, [f"{key}={value}" for key, value in zip(keys, combo)]
         )
-        cells = list(combo) + [
-            f"{metrics.avg_psnr:.6f}",
-            f"{metrics.control_error_db:.6f}",
-            f"{metrics.control_error_pct:.6f}",
-            f"{metrics.quality_fluc_db:.6f}",
-            f"{metrics.bitrate_mean:.6f}",
-            f"{metrics.bit_fluc:.6f}",
-        ]
+        cells = list(combo) + [f"{value:.6f}" for value in metrics]
         rows.append(",".join(cells))
     (out / "sweep.csv").write_text("\n".join(rows) + "\n")
     print(f"sweep: {len(points)} grid points over {', '.join(keys)}")

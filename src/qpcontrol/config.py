@@ -3,7 +3,8 @@
 Grammar: one ``key = value`` assignment per line, ``#`` starts a comment,
 blank lines are ignored. Keys are dotted paths into the experiment
 configuration (``gains.kp``, ``plant.disturbance.seed``); unknown keys are
-rejected, never ignored. Absent keys take the package defaults. The same
+rejected, never ignored. Absent keys take the dataclass field defaults,
+except the few keys whose configuration default differs. The same
 key syntax backs CLI ``--set`` overrides, and ``emit_config`` writes a file
 that parses back to an equal configuration.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .controller import ControlObjective, PidGains, QpRange
 from .errors import (
@@ -73,12 +74,13 @@ def _fmt(value) -> str:
 
 
 class Key(NamedTuple):
-    """One configuration key: its default, its parser and the dotted
-    ``ExperimentConfig`` attribute it reads (empty when that is the key)."""
+    """One configuration key: its parser, the dotted ``ExperimentConfig``
+    attribute it reads (empty when that is the key) and its default, None
+    when the dataclass field supplies it."""
 
-    default: object
     parse: Callable[[str, str], object]
     attr: str = ""
+    default: object = None
 
 
 _TRACE_PATH = "plant.trace_path"
@@ -86,30 +88,30 @@ _TRACE_PATH = "plant.trace_path"
 # The only list of keys; it drives parsing, emission and --grid validation.
 # Order is the canonical emission order.
 SCHEMA: dict[str, Key] = {
-    "objective.target_psnr": Key(37.2, _parse_float),
-    "objective.lambda": Key(0.8, _parse_float, "objective.lambda_"),
-    "gains.kp": Key(2.12, _parse_float),
-    "gains.ki": Key(0.10, _parse_float),
-    "gains.kd": Key(0.60, _parse_float),
-    "range.qp_min": Key(0, _parse_int, "qp_range.qp_min"),
-    "range.qp_max": Key(51, _parse_int, "qp_range.qp_max"),
-    "qp_offset": Key(32.0, _parse_float),
-    "kind_pattern": Key("inter", lambda key, raw: raw),
-    "n_frames": Key(300, _parse_int),
-    "mode": Key(RunMode.CONTROLLED, _parse_enum(RunMode)),
-    "plant.kind": Key(PlantKind.FIRST_ORDER, _parse_enum(PlantKind)),
-    "plant.psnr_intercept": Key(50.0, _parse_float),
-    "plant.psnr_slope": Key(0.4, _parse_float),
-    "plant.inertia": Key(0.5, _parse_float),
-    "plant.rate_ref_bits": Key(350000.0, _parse_float),
-    "plant.rate_ref_qp": Key(32, _parse_int),
-    "plant.initial_psnr": Key(None, _parse_optional_float),
-    _TRACE_PATH: Key(None, _parse_optional_str),
-    "plant.disturbance.kind": Key(DisturbanceKind.NONE, _parse_enum(DisturbanceKind)),
-    "plant.disturbance.amplitude": Key(0.0, _parse_float),
-    "plant.disturbance.period": Key(0, _parse_int),
-    "plant.disturbance.step_frame": Key(0, _parse_int),
-    "plant.disturbance.seed": Key(0, _parse_int),
+    "objective.target_psnr": Key(_parse_float, default=37.2),
+    "objective.lambda": Key(_parse_float, "objective.lambda_"),
+    "gains.kp": Key(_parse_float),
+    "gains.ki": Key(_parse_float),
+    "gains.kd": Key(_parse_float),
+    "range.qp_min": Key(_parse_int, "qp_range.qp_min"),
+    "range.qp_max": Key(_parse_int, "qp_range.qp_max"),
+    "qp_offset": Key(_parse_float),
+    "kind_pattern": Key(lambda key, raw: raw),
+    "n_frames": Key(_parse_int),
+    "mode": Key(_parse_enum(RunMode)),
+    "plant.kind": Key(_parse_enum(PlantKind), default=PlantKind.FIRST_ORDER),
+    "plant.psnr_intercept": Key(_parse_float),
+    "plant.psnr_slope": Key(_parse_float),
+    "plant.inertia": Key(_parse_float, default=0.5),
+    "plant.rate_ref_bits": Key(_parse_float),
+    "plant.rate_ref_qp": Key(_parse_int),
+    "plant.initial_psnr": Key(_parse_optional_float),
+    _TRACE_PATH: Key(_parse_optional_str),
+    "plant.disturbance.kind": Key(_parse_enum(DisturbanceKind)),
+    "plant.disturbance.amplitude": Key(_parse_float),
+    "plant.disturbance.period": Key(_parse_int),
+    "plant.disturbance.step_frame": Key(_parse_int),
+    "plant.disturbance.seed": Key(_parse_int),
 }
 
 
@@ -134,7 +136,7 @@ def _load_trace(trace_path: str | None) -> TraceTable:
 def _plant(**fields) -> PlantModel:
     trace = None
     if fields["kind"] is PlantKind.TRACE_DRIVEN:
-        trace = _load_trace(fields["trace_path"])
+        trace = _load_trace(fields.get("trace_path"))
     return PlantModel(trace=trace, **fields)
 
 
@@ -168,17 +170,17 @@ def _parse_lines(text: str, source: str) -> dict[str, object]:
 
 
 def parse_config(
-    path: str | Path | None,
-    overrides: Sequence[str] | Mapping[str, str] = (),
+    path: str | Path | None, overrides: Sequence[str] = ()
 ) -> ExperimentConfig:
     """Load (or default) a configuration and apply dotted-key overrides.
 
     ``overrides`` entries are ``key=value`` strings applied after the file,
-    in order. Missing file, malformed line, unknown key and invariant
-    violation each raise their own ConfigError subclass, naming the
-    offending key path or section.
+    in order. Keys set nowhere take their ``Key.default`` or, without one,
+    the dataclass field's. Missing file, malformed line, unknown key and
+    invariant violation each raise their own ConfigError subclass, naming
+    the offending key path or section.
     """
-    kv = {key: entry.default for key, entry in SCHEMA.items()}
+    kv = {key: e.default for key, e in SCHEMA.items() if e.default is not None}
 
     if path is not None:
         file_path = Path(path)
@@ -186,11 +188,7 @@ def parse_config(
             raise MissingConfigFile(f"config file not found: {file_path}")
         kv.update(_parse_lines(file_path.read_text(), str(file_path)))
 
-    if isinstance(overrides, Mapping):
-        override_lines = [f"{key}={value}" for key, value in overrides.items()]
-    else:
-        override_lines = list(overrides)
-    for i, line in enumerate(override_lines):
+    for i, line in enumerate(overrides):
         kv.update(_parse_lines(line, f"override[{i}]"))
 
     fields: dict[str, dict[str, object]] = {section: {} for section, _, _ in _SECTIONS}

@@ -26,13 +26,6 @@ from typing import Callable
 
 from .errors import InputDomainError, SequencingError
 
-#: Default controller weights and trade-off, overridable via configuration.
-DEFAULT_KP = 2.12
-DEFAULT_KI = 0.10
-DEFAULT_KD = 0.60
-DEFAULT_LAMBDA = 0.8
-
-
 class FrameKind(Enum):
     """Coding type of a frame, selecting which QP policy applies."""
 
@@ -48,9 +41,9 @@ class PidGains:
     implicit time unit, so any constant sample interval is absorbed here.
     """
 
-    kp: float = DEFAULT_KP
-    ki: float = DEFAULT_KI
-    kd: float = DEFAULT_KD
+    kp: float = 2.12
+    ki: float = 0.10
+    kd: float = 0.60
 
     def __post_init__(self) -> None:
         for name in ("kp", "ki", "kd"):
@@ -68,7 +61,7 @@ class ControlObjective:
     """
 
     target_psnr: float
-    lambda_: float = DEFAULT_LAMBDA
+    lambda_: float = 0.8
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.target_psnr) or self.target_psnr <= 0:

@@ -96,27 +96,21 @@ class ExperimentConfig:
                     f"frame {missing} is not tabulated"
                 )
             return
-        # Bits are monotone in QP, so the range ends bound every QP a run
-        # can visit.
-        plant = self.plant
-        for qp in (self.qp_range.qp_min, self.qp_range.qp_max):
-            try:
-                bits = rate_model(plant, qp)
-            except OverflowError:
-                bits = math.inf
-            if not math.isfinite(bits):
-                raise InputDomainError(
-                    f"plant.rate_ref_bits={plant.rate_ref_bits!r} with "
-                    f"plant.rate_ref_qp={plant.rate_ref_qp} gives {bits!r} bits "
-                    f"at qp {qp}"
-                )
-        # The largest bits, at qp_min, bound the total compute_metrics sums.
-        most = rate_model(plant, self.qp_range.qp_min)
+        # Bits fall as QP rises, so the bits at qp_min bound every frame and,
+        # times n_frames, the total compute_metrics sums. The QP offset must
+        # also convert to a float at qp_max, where rate_model would raise.
+        plant, qp_min = self.plant, self.qp_range.qp_min
+        try:
+            most = rate_model(plant, qp_min)
+            float(self.qp_range.qp_max - plant.rate_ref_qp)
+        except OverflowError:
+            most = math.inf
         if not math.isfinite(most * self.n_frames):
             raise InputDomainError(
-                f"plant.rate_ref_bits={plant.rate_ref_bits!r} gives {most!r} bits "
-                f"at range.qp_min={self.qp_range.qp_min}, and n_frames="
-                f"{self.n_frames} such frames sum past the float range"
+                f"plant.rate_ref_bits={plant.rate_ref_bits!r} with "
+                f"plant.rate_ref_qp={plant.rate_ref_qp} gives {most!r} bits per "
+                f"frame at range.qp_min={qp_min}; n_frames={self.n_frames} such "
+                f"frames must sum within the float range"
             )
 
 
@@ -131,14 +125,14 @@ class FrameRecord(NamedTuple):
     o: float
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     """Per-run summary: setpoint accuracy, stability of quality and bits.
 
-    Fluctuations are population standard deviations over all frames, so a
-    single-frame run reports zero and a constant series reports exactly
-    zero. ``bit_fluc`` and ``bitrate_mean`` are in bits per frame; multiply
-    by the frame rate (and divide by 1e6) for Mbps.
+    The fields, in order, are the metric schema: the metrics JSON keys and
+    the sweep columns. Fluctuations are population standard deviations over
+    all frames, so a single-frame run reports zero and a constant series
+    reports exactly zero. ``bit_fluc`` and ``bitrate_mean`` are in bits per
+    frame; multiply by the frame rate (and divide by 1e6) for Mbps.
     """
 
     avg_psnr: float
@@ -149,14 +143,7 @@ class MetricsReport:
     bit_fluc: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "avg_psnr": self.avg_psnr,
-            "control_error_db": self.control_error_db,
-            "control_error_pct": self.control_error_pct,
-            "quality_fluc_db": self.quality_fluc_db,
-            "bitrate_mean": self.bitrate_mean,
-            "bit_fluc": self.bit_fluc,
-        }
+        return self._asdict()
 
 
 @dataclass(frozen=True)
@@ -207,10 +194,9 @@ def run_closed_loop(config: ExperimentConfig) -> list[FrameRecord]:
     """Run the controller against the configured plant for ``n_frames``.
 
     Frame t's QP comes from the controller fed with frame t-1's error,
-    through a per-run ``controller_stepper``.
+    through a per-run ``controller_stepper``. ``config.mode`` is not read:
+    the caller chooses the run.
     """
-    if config.mode is not RunMode.CONTROLLED:
-        raise InputDomainError("run_closed_loop requires mode=controlled")
     return _run(
         config,
         controller_stepper(
@@ -225,10 +211,9 @@ def run_closed_loop(config: ExperimentConfig) -> list[FrameRecord]:
 def run_fixed_qp(config: ExperimentConfig) -> list[FrameRecord]:
     """Baseline run: hold the rounded anchor QP, step the plant identically.
 
-    No controller runs, so every frame records ``o = 0.0``.
+    No controller runs, so every frame records ``o = 0.0``. ``config.mode``
+    is not read.
     """
-    if config.mode is not RunMode.FIXED_QP:
-        raise InputDomainError("run_fixed_qp requires mode=fixed")
     held = (clamp_round_qp(config.qp_offset, config.qp_range), 0.0)
     return _run(config, lambda error, t: held)
 
@@ -264,13 +249,13 @@ def _mean_pstd(column: str, xs: Sequence[float]) -> tuple[float, float]:
 def compute_metrics(
     records: Sequence[FrameRecord], objective: ControlObjective
 ) -> MetricsReport:
-    """Summarize a trace into the six report metrics."""
+    """Summarize a trace into the six report metrics, all finite."""
     if not records:
         raise DegenerateInputError("cannot compute metrics over an empty trace")
     avg_psnr, quality_fluc_db = _mean_pstd("psnr", [r.psnr for r in records])
     bitrate_mean, bit_fluc = _mean_pstd("bits", [r.bits for r in records])
     control_error_db = abs(avg_psnr - objective.target_psnr)
-    return MetricsReport(
+    report = MetricsReport(
         avg_psnr=avg_psnr,
         control_error_db=control_error_db,
         control_error_pct=100.0 * control_error_db / objective.target_psnr,
@@ -278,13 +263,19 @@ def compute_metrics(
         bitrate_mean=bitrate_mean,
         bit_fluc=bit_fluc,
     )
+    for name, value in zip(MetricsReport._fields, report):
+        if not math.isfinite(value):
+            raise InputDomainError(f"the run's {name} is {value!r}, not finite")
+    return report
 
 
 def compare(controlled: MetricsReport, baseline: MetricsReport) -> ComparisonReport:
     """Pair two reports from the same plant/disturbance/seed for the table.
 
     The reduction is ``100 * (baseline_fluc - controlled_fluc) /
-    baseline_fluc``; swapping the arguments' roles flips its sign.
+    baseline_fluc``; swapping the arguments' roles flips its sign. A
+    baseline fluctuation of exactly 0 gives 0 when the controlled one is 0
+    too and -inf otherwise, the formula's limit.
     """
     base = baseline.quality_fluc_db
     ours = controlled.quality_fluc_db
@@ -324,22 +315,31 @@ def write_metrics_json(report: MetricsReport, path: str | Path) -> None:
     Path(path).write_text(metrics_json_text(report))
 
 
-_COLUMNS = (
-    ("avg_psnr", "avg_psnr_db"),
-    ("control_error_db", "control_error_db"),
-    ("control_error_pct", "control_error_pct"),
-    ("quality_fluc_db", "quality_fluc_db"),
-    ("bitrate_mean", "bitrate_bits_per_frame"),
-    ("bit_fluc", "bit_fluc_bits_per_frame"),
+def summary_line(mode: RunMode, n_frames: int, report: MetricsReport) -> str:
+    """The one line ``simulate`` prints for a run."""
+    return (
+        f"{mode.value}: {n_frames} frames, avg_psnr={report.avg_psnr:.4f} dB, "
+        f"quality_fluc={report.quality_fluc_db:.4f} dB"
+    )
+
+
+# One title per MetricsReport field, in field order.
+_COLUMN_TITLES = (
+    "avg_psnr_db",
+    "control_error_db",
+    "control_error_pct",
+    "quality_fluc_db",
+    "bitrate_bits_per_frame",
+    "bit_fluc_bits_per_frame",
 )
 
 
 def comparison_text(report: ComparisonReport) -> str:
     """Aligned plain-text table, one row per method, one column per metric."""
-    headers = ["method"] + [title for _, title in _COLUMNS]
+    headers = ["method", *_COLUMN_TITLES]
     table_rows = []
     for label, metrics in report.rows():
-        values = [f"{getattr(metrics, name):.4f}" for name, _ in _COLUMNS]
+        values = [f"{value:.4f}" for value in metrics]
         table_rows.append([label] + values)
     widths = [
         max(len(headers[i]), *(len(row[i]) for row in table_rows))

@@ -134,6 +134,19 @@ class TestCompare:
         assert fixed["quality_fluc_db"] == 0.0
         assert fixed["bit_fluc"] == 0.0
 
+    def test_zero_baseline_fluctuation_reports_minus_inf(self, tmp_path, capsys):
+        # the fixed-QP PSNR is constant, the controlled one is not
+        code = run_cli(
+            "compare",
+            "--out", tmp_path,
+            "--set", "plant.kind=zero_order",
+            "--set", "plant.psnr_intercept=50.1",
+        )
+        assert code == 0
+        line = "quality fluctuation reduction: -inf%\n"
+        assert capsys.readouterr().out.endswith(line)
+        assert (tmp_path / "comparison.txt").read_text().endswith(line)
+
 
 class TestSweep:
     def test_lambda_grid_rows(self, tmp_path):
@@ -326,6 +339,44 @@ class TestExitCodes:
         assert "range.qp_max" in capsys.readouterr().err
         narrowed = common + ["--set", "range.qp_min=30", "--set", "range.qp_max=40"]
         assert run_cli("identify", "--out", out, *narrowed) == 0
+
+    @pytest.mark.parametrize("command", ["simulate", "identify"])
+    def test_qp_max_past_the_float_range_exits_two_at_load(
+        self, tmp_path, capsys, command
+    ):
+        # bits fall as QP rises, but the QP offset itself cannot become a float
+        code = run_cli(command, "--out", tmp_path, "--set", f"range.qp_max={10**400}")
+        assert code == 2
+        assert "plant.rate_ref_bits" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            (
+                [
+                    "--set", "plant.rate_ref_bits=1e200",
+                    "--set", "plant.disturbance.kind=step",
+                    "--set", "plant.disturbance.amplitude=2.0",
+                    "--set", "plant.disturbance.step_frame=100",
+                ],
+                "bit_fluc",
+            ),
+            (
+                ["--set", "objective.target_psnr=1e-307", "--mode", "fixed"],
+                "control_error_pct",
+            ),
+        ],
+        ids=["bit_fluc_squares_overflow", "pct_of_a_tiny_target"],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "compare", "sweep"])
+    def test_non_finite_metric_exits_three_before_writing(
+        self, tmp_path, capsys, command, overrides, field
+    ):
+        grid = ["--grid", "gains.kp=2.12"] if command == "sweep" else []
+        assert run_cli(command, "--out", tmp_path, *overrides, *grid) == 3
+        assert field in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,10 +1,12 @@
 """Configuration grammar tests: defaults, overrides, errors, round-trip."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qpcontrol.config import emit_config, parse_config
+from qpcontrol.config import SCHEMA, emit_config, parse_config
 from qpcontrol.errors import (
     ConfigInvariantError,
     ConfigParseError,
@@ -33,6 +35,31 @@ class TestDefaults:
         assert config.mode is RunMode.CONTROLLED
         assert config.plant.kind is PlantKind.FIRST_ORDER
         assert config.plant.inertia == 0.5
+
+    def test_only_config_specific_defaults_live_in_the_schema(self):
+        # every other key takes its dataclass field default
+        owned = {key for key, entry in SCHEMA.items() if entry.default is not None}
+        assert owned == {"objective.target_psnr", "plant.kind", "plant.inertia"}
+
+    def test_readme_table_lists_every_key_with_its_default(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        listed = {}
+        for line in readme.read_text().splitlines():
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            if not line.startswith("| `") or len(cells) != 3:
+                continue
+            keys, defaults = (cell.split(" / ") for cell in cells[:2])
+            assert len(keys) == len(defaults), line
+            for key, default in zip(keys, defaults):
+                listed[key.strip("`")] = default.strip("`")
+        assert set(listed) == set(SCHEMA)
+        emitted = dict(
+            line.split(" = ", 1)
+            for line in emit_config(parse_config(None)).splitlines()
+        )
+        for key, default in listed.items():
+            parse = SCHEMA[key].parse
+            assert parse(key, default) == parse(key, emitted[key]), key
 
     def test_empty_file_gives_defaults(self, tmp_path):
         path = tmp_path / "empty.cfg"

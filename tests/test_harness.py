@@ -136,16 +136,19 @@ class TestClosedLoop:
         run_closed_loop(config)
         assert config.plant.prev_psnr is None
 
-    def test_mode_is_checked(self):
-        config = ExperimentConfig(
-            plant=reference_plant(),
-            objective=ControlObjective(target_psnr=37.2),
-            mode=RunMode.FIXED_QP,
+    def test_runs_do_not_read_the_mode(self):
+        controlled, fixed = (
+            ExperimentConfig(
+                plant=reference_plant(),
+                objective=ControlObjective(target_psnr=36.0),
+                n_frames=60,
+                mode=mode,
+            )
+            for mode in (RunMode.CONTROLLED, RunMode.FIXED_QP)
         )
-        with pytest.raises(InputDomainError):
-            run_closed_loop(config)
-        with pytest.raises(InputDomainError):
-            run_fixed_qp(dataclasses.replace(config, mode=RunMode.CONTROLLED))
+        assert run_closed_loop(controlled) == run_closed_loop(fixed)
+        assert run_fixed_qp(controlled) == run_fixed_qp(fixed)
+        assert run_closed_loop(fixed) != run_fixed_qp(controlled)
 
     def test_frames_are_contiguous_and_counted(self):
         config = ExperimentConfig(
