@@ -12,7 +12,13 @@ import itertools
 import sys
 from pathlib import Path
 
-from .config import SCHEMA, parse_config
+from .config import (
+    FIXED_QP_METRICS_UNREAD,
+    SCHEMA,
+    emit_config,
+    parse_config,
+    parse_configs,
+)
 from .errors import (
     ConfigError,
     ConfigInvariantError,
@@ -103,17 +109,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args: argparse.Namespace, grid_overrides=()):
-    # A grid point wins over --set, and the dedicated flags win over both.
-    overrides = [*args.overrides, *grid_overrides]
+def _flag_overrides(args: argparse.Namespace) -> list[str]:
+    # Applied last: the dedicated flags win over --set and a grid point.
+    overrides = []
     if args.seed is not None:
         overrides.append(f"plant.disturbance.seed={args.seed}")
     if args.mode is not None:
         overrides.append(f"mode={args.mode}")
-    return parse_config(args.config, overrides)
+    return overrides
+
+
+def _load_config(args: argparse.Namespace):
+    return parse_config(args.config, [*args.overrides, *_flag_overrides(args)])
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
+    """Create ``--out`` once a command has all it will write, so a failed
+    run leaves no directory behind."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -128,9 +140,9 @@ def _run_for_mode(config):
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    out = _out_dir(args)
     records = _run_for_mode(config)
     metrics = compute_metrics(records, config.objective)
+    out = _out_dir(args)
     write_trace_csv(records, out / "trace.csv")
     write_metrics_json(metrics, out / "metrics.json")
     print(summary_line(config.mode, len(records), metrics))
@@ -161,7 +173,6 @@ def _check_impulse_coverage(config) -> None:
 def _cmd_identify(args: argparse.Namespace) -> int:
     config = _load_config(args)
     _check_impulse_coverage(config)
-    out = _out_dir(args)
     experiment = run_impulse(config.plant, config.qp_range, config.n_frames)
     estimate = estimate_order(experiment.response)
     pole = "none" if estimate.pole is None else f"{estimate.pole:.6f}"
@@ -173,6 +184,7 @@ def _cmd_identify(args: argparse.Namespace) -> int:
     response_lines = ["frame,error_db"] + [
         f"{t},{value:.6f}" for t, value in enumerate(experiment.response)
     ]
+    out = _out_dir(args)
     (out / "identify_report.txt").write_text(report)
     (out / "impulse_response.csv").write_text("\n".join(response_lines) + "\n")
     print(report, end="")
@@ -181,11 +193,11 @@ def _cmd_identify(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    out = _out_dir(args)
     controlled = compute_metrics(run_closed_loop(config), config.objective)
     baseline = compute_metrics(run_fixed_qp(config), config.objective)
     report = compare(controlled, baseline)
     text = comparison_text(report)
+    out = _out_dir(args)
     (out / "comparison.txt").write_text(text)
     write_metrics_json(controlled, out / "metrics_controlled.json")
     write_metrics_json(baseline, out / "metrics_fixed.json")
@@ -209,12 +221,17 @@ def _parse_grid(grid_args: list[str]) -> list[tuple[str, list[str]]]:
     return axes
 
 
-def _point_metrics(args: argparse.Namespace, grid_overrides: list[str]):
-    """Parse, run and summarise one grid point. Only the metrics outlive the
-    call, so a point's config and trace table are freed before the next
-    point is parsed."""
-    config = _load_config(args, grid_overrides)
-    return compute_metrics(_run_for_mode(config), config.objective)
+def _run_key(config) -> str:
+    """The configuration as ``emit_config`` writes it, less the keys a
+    fixed-QP run's metrics never read: equal keys give equal metrics."""
+    text = emit_config(config)
+    if config.mode is RunMode.CONTROLLED:
+        return text
+    return "".join(
+        line
+        for line in text.splitlines(keepends=True)
+        if line.partition(" = ")[0] not in FIXED_QP_METRICS_UNREAD
+    )
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -222,18 +239,25 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print("error: sweep requires at least one --grid axis", file=sys.stderr)
         return 2
     axes = _parse_grid(args.grid)
-    out = _out_dir(args)
     keys = [key for key, _ in axes]
     # duplicate grid points are dropped
     points = list(dict.fromkeys(itertools.product(*(values for _, values in axes))))
+    flags = _flag_overrides(args)
+    point_overrides = [
+        [f"{key}={value}" for key, value in zip(keys, combo)] + flags for combo in points
+    ]
+    configs = parse_configs(args.config, args.overrides, point_overrides)
+    # Each distinct run is run once; only its metrics are kept.
+    runs: dict[str, MetricsReport] = {}
     header = keys + list(MetricsReport._fields)
     rows = [",".join(header)]
-    for combo in points:
-        metrics = _point_metrics(
-            args, [f"{key}={value}" for key, value in zip(keys, combo)]
-        )
-        cells = list(combo) + [f"{value:.6f}" for value in metrics]
+    for combo, config in zip(points, configs):
+        run_key = _run_key(config)
+        if run_key not in runs:
+            runs[run_key] = compute_metrics(_run_for_mode(config), config.objective)
+        cells = list(combo) + [f"{value:.6f}" for value in runs[run_key]]
         rows.append(",".join(cells))
+    out = _out_dir(args)
     (out / "sweep.csv").write_text("\n".join(rows) + "\n")
     print(f"sweep: {len(points)} grid points over {', '.join(keys)}")
     return 0

@@ -12,9 +12,10 @@ that parses back to an equal configuration.
 from __future__ import annotations
 
 from enum import Enum
+from functools import cache
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .controller import ControlObjective, PidGains, QpRange
 from .errors import (
@@ -114,6 +115,13 @@ SCHEMA: dict[str, Key] = {
     "plant.disturbance.seed": Key(_parse_int),
 }
 
+# Keys that a fixed-QP run's metrics never read: the run holds the anchor
+# QP, so no gain or frame kind reaches it, and the objective weight enters
+# only its records' error column.
+FIXED_QP_METRICS_UNREAD = frozenset(
+    {"objective.lambda", "gains.kp", "gains.ki", "gains.kd", "kind_pattern"}
+)
+
 
 def _attr(key: str) -> str:
     return SCHEMA[key].attr or key
@@ -133,10 +141,10 @@ def _load_trace(trace_path: str | None) -> TraceTable:
         raise ConfigInvariantError(f"{_TRACE_PATH}: {exc}") from exc
 
 
-def _plant(**fields) -> PlantModel:
+def _plant(trace_table: Callable[[str | None], TraceTable], **fields) -> PlantModel:
     trace = None
     if fields["kind"] is PlantKind.TRACE_DRIVEN:
-        trace = _load_trace(fields.get("trace_path"))
+        trace = trace_table(fields.get("trace_path"))
     return PlantModel(trace=trace, **fields)
 
 
@@ -169,16 +177,37 @@ def _parse_lines(text: str, source: str) -> dict[str, object]:
     return values
 
 
-def parse_config(
-    path: str | Path | None, overrides: Sequence[str] = ()
+def _build(
+    kv: dict[str, object], trace_table: Callable[[str | None], TraceTable]
 ) -> ExperimentConfig:
-    """Load (or default) a configuration and apply dotted-key overrides.
+    fields: dict[str, dict[str, object]] = {section: {} for section, _, _ in _SECTIONS}
+    fields["plant"]["trace_table"] = trace_table
+    for key, value in kv.items():
+        section, _, name = _attr(key).rpartition(".")
+        fields[section][name] = value
+    for section, label, build in _SECTIONS:
+        try:
+            built = build(**fields[section])
+        except InputDomainError as exc:
+            raise ConfigInvariantError(f"{label}: {exc}") from exc
+        parent, _, name = section.rpartition(".")
+        fields[parent][name] = built
+    return built
 
-    ``overrides`` entries are ``key=value`` strings applied after the file,
-    in order. Keys set nowhere take their ``Key.default`` or, without one,
-    the dataclass field's. Missing file, malformed line, unknown key and
-    invariant violation each raise their own ConfigError subclass, naming
-    the offending key path or section.
+
+def parse_configs(
+    path: str | Path | None,
+    overrides: Sequence[str] = (),
+    points: Iterable[Sequence[str]] = ((),),
+) -> Iterator[ExperimentConfig]:
+    """Yield one configuration per point, reading the file once.
+
+    Each point is a sequence of ``key=value`` strings applied after
+    ``overrides``, on a copy of the file's values; error messages number
+    the two as one list, ``override[i]``. Every configuration is built and
+    validated on its own, when it is yielded. Each distinct
+    ``plant.trace_path`` is loaded once, and its table is shared by the
+    configurations that name it for as long as the generator lives.
     """
     kv = {key: e.default for key, e in SCHEMA.items() if e.default is not None}
 
@@ -191,18 +220,27 @@ def parse_config(
     for i, line in enumerate(overrides):
         kv.update(_parse_lines(line, f"override[{i}]"))
 
-    fields: dict[str, dict[str, object]] = {section: {} for section, _, _ in _SECTIONS}
-    for key, value in kv.items():
-        section, _, name = _attr(key).rpartition(".")
-        fields[section][name] = value
-    for section, label, build in _SECTIONS:
-        try:
-            built = build(**fields[section])
-        except InputDomainError as exc:
-            raise ConfigInvariantError(f"{label}: {exc}") from exc
-        parent, _, name = section.rpartition(".")
-        fields[parent][name] = built
-    return built
+    trace_table = cache(_load_trace)  # one load per path, for this call only
+    for point in points:
+        point_kv = dict(kv)
+        for i, line in enumerate(point, start=len(overrides)):
+            point_kv.update(_parse_lines(line, f"override[{i}]"))
+        yield _build(point_kv, trace_table)
+
+
+def parse_config(
+    path: str | Path | None, overrides: Sequence[str] = ()
+) -> ExperimentConfig:
+    """Load (or default) a configuration and apply dotted-key overrides.
+
+    ``overrides`` entries are ``key=value`` strings applied after the file,
+    in order. Keys set nowhere take their ``Key.default`` or, without one,
+    the dataclass field's. Missing file, malformed line, unknown key and
+    invariant violation each raise their own ConfigError subclass, naming
+    the offending key path or section. This is the one-point case of
+    ``parse_configs``; nothing is cached between calls.
+    """
+    return next(parse_configs(path, overrides))
 
 
 def emit_config(config: ExperimentConfig) -> str:

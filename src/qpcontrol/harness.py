@@ -99,10 +99,17 @@ class ExperimentConfig:
         # Bits fall as QP rises, so the bits at qp_min bound every frame and,
         # times n_frames, the total compute_metrics sums. The QP offset must
         # also convert to a float at qp_max, where rate_model would raise.
-        plant, qp_min = self.plant, self.qp_range.qp_min
+        plant, qp_min, qp_max = self.plant, self.qp_range.qp_min, self.qp_range.qp_max
+        try:
+            float(qp_max - plant.rate_ref_qp)
+        except OverflowError:
+            raise InputDomainError(
+                f"range.qp_max={qp_max} lies past the float range from "
+                f"plant.rate_ref_qp={plant.rate_ref_qp}, so the rate model "
+                f"cannot scale plant.rate_ref_bits={plant.rate_ref_bits!r} there"
+            ) from None
         try:
             most = rate_model(plant, qp_min)
-            float(self.qp_range.qp_max - plant.rate_ref_qp)
         except OverflowError:
             most = math.inf
         if not math.isfinite(most * self.n_frames):

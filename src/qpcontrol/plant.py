@@ -138,16 +138,22 @@ class FrameOutcome:
             raise InputDomainError(f"bits must be finite and >= 0, got {self.bits!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TraceTable:
     """Per-frame (qp, psnr, bits) rows parsed from a trace CSV.
 
-    ``rows[frame]`` is sorted by qp, and lookups bisect it. Lookups are exact
-    at tabulated QPs and linear in qp between them; anything outside the
-    tabulated span raises TraceDomainError.
+    ``rows[frame]`` is a tuple sorted by qp, and lookups bisect it. Lookups
+    are exact at tabulated QPs and linear in qp between them; anything
+    outside the tabulated span raises TraceDomainError. The table is
+    frozen, so one table may back any number of plants and runs.
     """
 
-    rows: dict[int, list[tuple[int, float, float]]]
+    rows: dict[int, tuple[tuple[int, float, float], ...]]
+
+    def __post_init__(self) -> None:
+        # A frame's rows may come as any sequence; they are kept as a tuple.
+        frozen = {frame: tuple(entries) for frame, entries in self.rows.items()}
+        object.__setattr__(self, "rows", frozen)
 
     @classmethod
     def parse(cls, text: str) -> "TraceTable":

@@ -9,6 +9,14 @@ from pathlib import Path
 import pytest
 
 from qpcontrol.cli import main
+from qpcontrol.config import parse_config
+from qpcontrol.harness import (
+    MetricsReport,
+    compute_metrics,
+    run_closed_loop,
+    run_fixed_qp,
+)
+from qpcontrol.plant import TraceTable
 
 TRACE_TEXT = """frame,qp,psnr_db,bits
 0,30,38.000,500000
@@ -20,6 +28,10 @@ TRACE_TEXT = """frame,qp,psnr_db,bits
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def as_set(overrides):
+    return [arg for override in overrides for arg in ("--set", override)]
 
 
 class TestSimulate:
@@ -198,6 +210,70 @@ class TestSweep:
     def test_unknown_grid_key_is_a_usage_error(self, tmp_path):
         assert run_cli("sweep", "--out", tmp_path, "--grid", "nope=1,2") == 2
 
+    def _table(self, tmp_path):
+        # 30 frames tabulating QPs 0, 10, ..., 50 and 51, PSNR falling in QP
+        lines = ["frame,qp,psnr_db,bits"]
+        for t in range(30):
+            level = 50.0 + 0.3 * ((t * 7) % 5)
+            for qp in (*range(0, 51, 10), 51):
+                bits = 4e5 * 2.0 ** (-(qp - 32) / 6.0)
+                lines.append(f"{t},{qp},{level - 0.4 * qp:.3f},{bits:.1f}")
+        path = tmp_path / "table.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return [
+            "plant.kind=trace_driven",
+            f"plant.trace_path={path}",
+            "n_frames=30",
+            "objective.lambda=0.6",
+        ]
+
+    def test_rows_equal_per_point_runs_and_the_table_loads_once(
+        self, tmp_path, monkeypatch
+    ):
+        # a fixed-QP run reads qp_offset but no gain
+        overrides = self._table(tmp_path)
+        want = ["mode,gains.kp,qp_offset," + ",".join(MetricsReport._fields)]
+        for mode in ("controlled", "fixed"):
+            for kp in ("1.5", "2.12", "3"):
+                for offset in ("30", "34"):
+                    point = [f"mode={mode}", f"gains.kp={kp}", f"qp_offset={offset}"]
+                    config = parse_config(None, overrides + point)
+                    run = run_closed_loop if mode == "controlled" else run_fixed_qp
+                    metrics = compute_metrics(run(config), config.objective)
+                    cells = [mode, kp, offset] + [f"{v:.6f}" for v in metrics]
+                    want.append(",".join(cells))
+
+        loads = []
+        load = TraceTable.load
+
+        def counted(cls, path):
+            loads.append(path)
+            return load(path)
+
+        monkeypatch.setattr(TraceTable, "load", classmethod(counted))
+        out = tmp_path / "out"
+        grid = ["--grid", "mode=controlled,fixed", "--grid", "gains.kp=1.5,2.12,3"]
+        grid += ["--grid", "qp_offset=30,34"]
+        assert run_cli("sweep", "--out", out, *as_set(overrides), *grid) == 0
+        assert (out / "sweep.csv").read_text() == "\n".join(want) + "\n"
+        assert len(loads) == 1
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [("-1", "gains: kp"), ("x", "gains.kp")],
+        ids=["invalid", "unparsed"],
+    )
+    def test_a_bad_last_point_exits_two_and_writes_nothing(
+        self, tmp_path, capsys, bad, message
+    ):
+        # the last point is a fixed-QP run, whose metrics no gain changes
+        out = tmp_path / "out"
+        grid = ["--grid", "mode=controlled,fixed", "--grid", f"gains.kp=1.5,{bad}"]
+        overrides = as_set(self._table(tmp_path))
+        assert run_cli("sweep", "--out", out, *overrides, *grid) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReproducibility:
     @pytest.mark.parametrize(
@@ -347,7 +423,9 @@ class TestExitCodes:
         # bits fall as QP rises, but the QP offset itself cannot become a float
         code = run_cli(command, "--out", tmp_path, "--set", f"range.qp_max={10**400}")
         assert code == 2
-        assert "plant.rate_ref_bits" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "plant.rate_ref_bits" in err
+        assert f"range.qp_max={10**400}" in err and "range.qp_min" not in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -376,6 +454,22 @@ class TestExitCodes:
         grid = ["--grid", "gains.kp=2.12"] if command == "sweep" else []
         assert run_cli(command, "--out", tmp_path, *overrides, *grid) == 3
         assert field in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [
+            ("simulate", ["--set", "objective.target_psnr=1e-307", "--mode", "fixed"]),
+            ("compare", ["--set", "objective.target_psnr=1e-307"]),
+            ("sweep", ["--set", "objective.target_psnr=1e-307", "--grid", "mode=fixed"]),
+            ("identify", ["--set", "n_frames=1"]),
+        ],
+    )
+    def test_a_failed_run_creates_no_out_directory(
+        self, tmp_path, capsys, command, overrides
+    ):
+        assert run_cli(command, "--out", tmp_path / "new" / "x", *overrides) == 3
+        assert "error:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_missing_subcommand_is_a_usage_error(self):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qpcontrol.config import SCHEMA, emit_config, parse_config
+from qpcontrol.config import SCHEMA, emit_config, parse_config, parse_configs
 from qpcontrol.errors import (
     ConfigInvariantError,
     ConfigParseError,
@@ -185,6 +185,44 @@ class TestErrors:
                     f"plant.trace_path={tmp_path / 'missing.csv'}",
                 ],
             )
+
+
+class TestParseConfigs:
+    def test_each_point_equals_its_own_parse(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("objective.lambda = 0.6\nn_frames = 40\n")
+        overrides = ["gains.kp=1.5", "mode=fixed"]
+        points = [[], ["mode=controlled"], ["gains.kp=3", "objective.lambda=1"]]
+        configs = list(parse_configs(path, overrides, points))
+        assert configs == [parse_config(path, overrides + point) for point in points]
+
+    def test_points_share_one_table(self, tmp_path):
+        trace_path = tmp_path / "trace.csv"
+        trace_path.write_text(TRACE_TEXT)
+        trace = ["plant.kind=trace_driven", f"plant.trace_path={trace_path}"]
+        first, second = parse_configs(
+            None, trace, [["n_frames=1"], ["n_frames=2", "mode=fixed"]]
+        )
+        assert first.plant.trace is second.plant.trace
+
+    def test_a_point_error_counts_overrides_and_point_as_one_list(self):
+        configs = parse_configs(None, ["gains.kp=1"], [["gains.ki=0.2"], ["nope=1"]])
+        assert next(configs).gains.ki == 0.2
+        with pytest.raises(UnknownConfigKey) as excinfo:
+            next(configs)
+        assert "override[1]" in str(excinfo.value)
+
+    def test_nothing_is_cached_between_calls(self, tmp_path):
+        trace_path = tmp_path / "trace.csv"
+        trace_path.write_text(TRACE_TEXT)
+        overrides = [
+            "plant.kind=trace_driven", f"plant.trace_path={trace_path}", "n_frames=2"
+        ]
+        before = parse_config(None, overrides)
+        trace_path.write_text(TRACE_TEXT.replace("38.000", "39.000"))
+        after = parse_config(None, overrides)
+        assert before.plant.trace.rows[0][0] == (30, 38.0, 500000.0)
+        assert after.plant.trace.rows[0][0] == (30, 39.0, 500000.0)
 
 
 class TestRoundTrip:

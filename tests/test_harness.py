@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qpcontrol.config import FIXED_QP_METRICS_UNREAD, parse_config
 from qpcontrol.controller import ControlObjective, FrameKind
 from qpcontrol.errors import DegenerateInputError, InputDomainError
 from qpcontrol.harness import (
@@ -212,6 +213,45 @@ class TestFixedQp:
             mode=RunMode.FIXED_QP,
         )
         assert all(r.qp == 51 for r in run_fixed_qp(config))
+
+    @pytest.mark.parametrize("key", sorted(FIXED_QP_METRICS_UNREAD))
+    def test_metrics_do_not_read_the_unread_keys(self, key):
+        # sweep shares one fixed-QP run's metrics across these keys
+        value = {
+            "objective.lambda": "0.3",
+            "gains.kp": "0.5",
+            "gains.ki": "0.7",
+            "gains.kd": "0.0",
+            "kind_pattern": "intra_every:5",
+        }[key]
+        common = [
+            "mode=fixed",
+            "n_frames=80",
+            "plant.disturbance.kind=seeded_noise",
+            "plant.disturbance.amplitude=1.5",
+            "plant.disturbance.seed=11",
+        ]
+        base = parse_config(None, common)
+        varied = parse_config(None, common + [f"{key}={value}"])
+        assert base != varied
+        base_records, varied_records = run_fixed_qp(base), run_fixed_qp(varied)
+        assert [(r.qp, r.psnr, r.bits) for r in base_records] == [
+            (r.qp, r.psnr, r.bits) for r in varied_records
+        ]
+        assert compute_metrics(base_records, base.objective) == compute_metrics(
+            varied_records, varied.objective
+        )
+
+    def test_the_error_column_reads_lambda(self):
+        # so sweep shares metrics between fixed-QP runs, never records
+        common = [
+            "mode=fixed", "plant.disturbance.kind=constant", "plant.disturbance.amplitude=1.0"
+        ]
+        base = parse_config(None, common)
+        varied = parse_config(None, common + ["objective.lambda=0.3"])
+        assert [r.error for r in run_fixed_qp(base)] != [
+            r.error for r in run_fixed_qp(varied)
+        ]
 
 
 class TestMetrics:

@@ -1,6 +1,7 @@
 """Plant model tests: response shapes, rate model, disturbances, traces."""
 
 import copy
+import dataclasses
 import math
 import random
 
@@ -238,6 +239,14 @@ class TestTraceTable:
     def test_field_count_enforced(self):
         with pytest.raises(InputDomainError):
             TraceTable.parse("frame,qp,psnr_db,bits\n0,30,38.0\n")
+
+    def test_table_is_frozen_with_tuple_rows(self):
+        table = TraceTable.parse(TRACE_TEXT)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.rows = {}
+        assert all(type(entries) is tuple for entries in table.rows.values())
+        built = TraceTable({0: [(30, 38.0, 500000.0), (40, 34.0, 200000.0)]})
+        assert built.rows[0] == ((30, 38.0, 500000.0), (40, 34.0, 200000.0))
 
     def test_step_reads_table_verbatim(self):
         table = TraceTable.parse(TRACE_TEXT)
