@@ -11,7 +11,6 @@ from .controller import (
     controller_frame,
     pid_step,
     policy_qp,
-    reset,
 )
 from .config import emit_config, parse_config
 from .harness import (
@@ -71,7 +70,6 @@ __all__ = [
     "pid_step",
     "policy_qp",
     "rate_model",
-    "reset",
     "run_closed_loop",
     "run_fixed_qp",
     "run_impulse",

@@ -156,18 +156,17 @@ def _check_impulse_coverage(config) -> None:
     plant = config.plant
     if plant.kind is not PlantKind.TRACE_DRIVEN:
         return
-    rows = plant.trace.rows
     qp_range = config.qp_range
     driven = [("range.qp_min", qp_range.qp_min)]
     driven += [("range.qp_max", qp_range.qp_max)] * (config.n_frames - 1)
     for t, (key, qp) in enumerate(driven):
-        lo, hi = rows[t][0][0], rows[t][-1][0]
-        if not lo <= qp <= hi:
+        try:
+            plant.trace.lookup(t, qp)
+        except TraceDomainError as exc:
             raise ConfigInvariantError(
-                f"{key}={qp} lies outside the QPs the table "
-                f"plant.trace_path={plant.trace_path} tabulates at frame {t} "
-                f"[{lo}, {hi}]"
-            )
+                f"{key}={qp} is not covered by "
+                f"plant.trace_path={plant.trace_path}: {exc}"
+            ) from exc
 
 
 def _cmd_identify(args: argparse.Namespace) -> int:

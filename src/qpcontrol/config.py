@@ -15,7 +15,7 @@ from enum import Enum
 from functools import cache
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .controller import ControlObjective, PidGains, QpRange
 from .errors import (
@@ -148,15 +148,16 @@ def _plant(trace_table: Callable[[str | None], TraceTable], **fields) -> PlantMo
     return PlantModel(trace=trace, **fields)
 
 
-# Sections from the innermost out: attribute path, name in error messages,
-# and the constructor taking the section's fields.
+# Sections from the innermost out: attribute path, the key prefix that
+# turns a field named in an error message into its config key, and the
+# constructor taking the section's fields.
 _SECTIONS: tuple[tuple[str, str, Callable[..., object]], ...] = (
-    ("gains", "gains", PidGains),
-    ("objective", "objective", ControlObjective),
-    ("qp_range", "range", QpRange),
-    ("plant.disturbance", "plant.disturbance", DisturbanceSpec),
-    ("plant", "plant", _plant),
-    ("", "experiment", ExperimentConfig),
+    ("gains", "gains.", PidGains),
+    ("objective", "objective.", ControlObjective),
+    ("qp_range", "range.", QpRange),
+    ("plant.disturbance", "plant.disturbance.", DisturbanceSpec),
+    ("plant", "plant.", _plant),
+    ("", "", ExperimentConfig),
 )
 
 
@@ -185,11 +186,11 @@ def _build(
     for key, value in kv.items():
         section, _, name = _attr(key).rpartition(".")
         fields[section][name] = value
-    for section, label, build in _SECTIONS:
+    for section, prefix, build in _SECTIONS:
         try:
             built = build(**fields[section])
         except InputDomainError as exc:
-            raise ConfigInvariantError(f"{label}: {exc}") from exc
+            raise ConfigInvariantError(f"{prefix}{exc}") from exc
         parent, _, name = section.rpartition(".")
         fields[parent][name] = built
     return built
@@ -199,15 +200,19 @@ def parse_configs(
     path: str | Path | None,
     overrides: Sequence[str] = (),
     points: Iterable[Sequence[str]] = ((),),
-) -> Iterator[ExperimentConfig]:
-    """Yield one configuration per point, reading the file once.
+) -> list[ExperimentConfig]:
+    """Build and validate one configuration per point, reading the file once.
 
-    Each point is a sequence of ``key=value`` strings applied after
+    ``overrides`` entries are ``key=value`` strings applied after the file,
+    in order, and each point is a sequence of them applied after
     ``overrides``, on a copy of the file's values; error messages number
-    the two as one list, ``override[i]``. Every configuration is built and
-    validated on its own, when it is yielded. Each distinct
-    ``plant.trace_path`` is loaded once, and its table is shared by the
-    configurations that name it for as long as the generator lives.
+    the two as one list, ``override[i]``. Keys set nowhere take their
+    ``Key.default`` or, without one, the dataclass field's. Missing file,
+    malformed line, unknown key and invariant violation each raise their
+    own ConfigError subclass, naming the offending key, before any
+    configuration is returned. Each distinct ``plant.trace_path`` is loaded
+    once, and its table is shared by the configurations that name it;
+    nothing is cached between calls.
     """
     kv = {key: e.default for key, e in SCHEMA.items() if e.default is not None}
 
@@ -221,26 +226,20 @@ def parse_configs(
         kv.update(_parse_lines(line, f"override[{i}]"))
 
     trace_table = cache(_load_trace)  # one load per path, for this call only
+    configs = []
     for point in points:
         point_kv = dict(kv)
         for i, line in enumerate(point, start=len(overrides)):
             point_kv.update(_parse_lines(line, f"override[{i}]"))
-        yield _build(point_kv, trace_table)
+        configs.append(_build(point_kv, trace_table))
+    return configs
 
 
 def parse_config(
     path: str | Path | None, overrides: Sequence[str] = ()
 ) -> ExperimentConfig:
-    """Load (or default) a configuration and apply dotted-key overrides.
-
-    ``overrides`` entries are ``key=value`` strings applied after the file,
-    in order. Keys set nowhere take their ``Key.default`` or, without one,
-    the dataclass field's. Missing file, malformed line, unknown key and
-    invariant violation each raise their own ConfigError subclass, naming
-    the offending key path or section. This is the one-point case of
-    ``parse_configs``; nothing is cached between calls.
-    """
-    return next(parse_configs(path, overrides))
+    """The one-point case of ``parse_configs``."""
+    return parse_configs(path, overrides)[0]
 
 
 def emit_config(config: ExperimentConfig) -> str:

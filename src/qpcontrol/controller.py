@@ -69,7 +69,7 @@ class ControlObjective:
                 f"target_psnr must be finite and positive, got {self.target_psnr!r}"
             )
         if not 0.0 <= self.lambda_ <= 1.0:
-            raise InputDomainError(f"lambda_ must be in [0, 1], got {self.lambda_!r}")
+            raise InputDomainError(f"lambda must be in [0, 1], got {self.lambda_!r}")
 
 
 @dataclass(frozen=True)
@@ -129,26 +129,6 @@ class ControllerState:
             return "none" if value is None else repr(value)
 
         return "\n".join(f"{name}={fmt(getattr(self, name))}" for name in order)
-
-
-def reset(state: ControllerState, qp_offset: float) -> ControllerState:
-    """Zero every accumulator in place and set the QP anchor.
-
-    Idempotent; after a reset the state is indistinguishable from a freshly
-    constructed one.
-    """
-    if not math.isfinite(qp_offset):
-        raise InputDomainError(f"qp_offset must be finite, got {qp_offset!r}")
-    state.qp_offset = float(qp_offset)
-    state.frame_index = 0
-    state.prev_error = None
-    state.error_integral = 0.0
-    state.o_integral = 0.0
-    state.o_double_integral = 0.0
-    state.prev_psnr = None
-    state.last_o = 0.0
-    state.o_pending = False
-    return state
 
 
 def compute_error(

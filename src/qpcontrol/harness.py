@@ -62,11 +62,12 @@ def parse_kind_pattern(pattern: str) -> Callable[[int], FrameKind]:
             )
         return lambda t: FrameKind.INTRA if t % period == 0 else FrameKind.INTER
     raise InputDomainError(
-        f"unknown kind_pattern {pattern!r}; expected 'inter', 'intra' or 'intra_every:N'"
+        f"kind_pattern {pattern!r} is unknown; "
+        "expected 'inter', 'intra' or 'intra_every:N'"
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one run needs; value-identical configs give identical runs."""
 
@@ -226,7 +227,10 @@ def run_fixed_qp(config: ExperimentConfig) -> list[FrameRecord]:
 
 
 def mean(xs: Sequence[float]) -> float:
-    """The correctly rounded sum over the count."""
+    """The correctly rounded sum over the count, ``fsum(xs) / n``.
+
+    The division rounds once more, so the result can sit one ulp from the
+    correctly rounded mean."""
     return math.fsum(xs) / len(xs)
 
 

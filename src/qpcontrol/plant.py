@@ -72,7 +72,7 @@ class DisturbanceSpec:
             raise InputDomainError(f"amplitude must be finite, got {self.amplitude!r}")
         if self.kind is DisturbanceKind.SINUSOID and self.period < 1:
             raise InputDomainError(
-                f"sinusoid disturbance needs period >= 1, got {self.period}"
+                f"period must be >= 1 for a sinusoid disturbance, got {self.period}"
             )
         object.__setattr__(self, "seed_word", _mix64(self.seed & _MASK64))
 
@@ -220,8 +220,9 @@ class PlantModel:
 
     ``psnr_slope`` must be positive so PSNR strictly decreases in QP, and
     ``inertia`` must sit in [0, 1) so the first-order response is stable.
-    ``prev_psnr`` is runtime state (the previous frame's output); when it is
-    unset the first step responds as if already settled at its input.
+    ``prev_psnr`` is runtime state (the previous frame's output), seeded
+    from ``initial_psnr``; when that is None the first step responds as if
+    already settled at its input.
     """
 
     kind: PlantKind
@@ -234,7 +235,7 @@ class PlantModel:
     trace_path: str | None = None
     trace: TraceTable | None = None
     initial_psnr: float | None = None
-    prev_psnr: float | None = field(default=None, compare=False, repr=False)
+    prev_psnr: float | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.psnr_slope) and self.psnr_slope > 0):
@@ -253,8 +254,7 @@ class PlantModel:
             )
         if self.kind is PlantKind.TRACE_DRIVEN and self.trace is None:
             raise InputDomainError("trace-driven plant requires a trace table")
-        if self.prev_psnr is None:
-            self.prev_psnr = self.initial_psnr
+        self.prev_psnr = self.initial_psnr
 
     @classmethod
     def zero_order(cls, **kwargs) -> "PlantModel":
@@ -321,17 +321,14 @@ class _RateTable(dict):
         return bits
 
 
-def plant_stepper(
-    model: PlantModel, disturbance: DisturbanceSpec | None = None
-) -> Callable[[int, int], tuple[float, float]]:
+def plant_stepper(model: PlantModel) -> Callable[[int, int], tuple[float, float]]:
     """Resolve ``model`` once into ``step(qp, t) -> (psnr, bits)`` for one run.
 
     Fed integer QPs at frames t = 0, 1, ..., the stepper returns bit for bit
     what ``step_plant`` returns on a freshly reset model. It keeps the
     previous PSNR itself, starting at ``initial_psnr``, and never mutates
-    or copies the model. ``disturbance``, when given, replaces the model's
-    own. A non-finite PSNR raises InputDomainError on the frame that makes
-    it.
+    or copies the model. A non-finite PSNR raises InputDomainError on the
+    frame that makes it.
     """
     isfinite = math.isfinite
     if model.kind is PlantKind.TRACE_DRIVEN:
@@ -345,7 +342,7 @@ def plant_stepper(
 
         return step
 
-    spec = model.disturbance if disturbance is None else disturbance
+    spec = model.disturbance
     w_at = _DISTURBANCES[spec.kind]
     rates = _RateTable(model)
     intercept, slope = model.psnr_intercept, model.psnr_slope

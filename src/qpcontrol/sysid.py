@@ -8,14 +8,14 @@ transient then separates a memoryless (order 0) response from a one-pole
 (order 1) response.
 
 All functions here are pure over their inputs and safe for parallel use;
-``run_impulse`` steps the plant through a per-run stepper and never copies
-or mutates it.
+``run_impulse`` steps a shallow copy of the plant, its disturbance left
+out, through a per-run stepper and never mutates the plant itself.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .controller import QpRange
@@ -24,9 +24,9 @@ from .harness import mean, mean_about_first, pstd
 from .plant import DisturbanceSpec, PlantModel, plant_stepper
 
 #: Smallest |pole| treated as real memory rather than numerical residue.
-DEFAULT_POLE_THRESHOLD = 0.05
+POLE_THRESHOLD = 0.05
 #: Largest relative one-step fit residual accepted as a clean order-1 fit.
-DEFAULT_RESIDUAL_THRESHOLD = 0.1
+RESIDUAL_THRESHOLD = 0.1
 
 MIN_RESPONSE_LENGTH = 8
 
@@ -36,7 +36,6 @@ class ImpulseExperiment:
     """Recorded QP impulse run: the input sequence and the error response."""
 
     qp_sequence: tuple[int, ...]
-    length: int
     response: tuple[float, ...]
 
 
@@ -71,19 +70,15 @@ def run_impulse(plant: PlantModel, qp_range: QpRange, n: int) -> ImpulseExperime
         raise InputDomainError(
             f"impulse run needs at least {MIN_RESPONSE_LENGTH} frames, got {n}"
         )
-    step = plant_stepper(plant, DisturbanceSpec())
+    step = plant_stepper(replace(plant, disturbance=DisturbanceSpec()))
     qps = (qp_range.qp_min,) + (qp_range.qp_max,) * (n - 1)
     psnr = [step(qp, t)[0] for t, qp in enumerate(qps)]
     settled = mean_about_first(psnr[-(n // 4):])
     response = tuple(value - settled for value in psnr)
-    return ImpulseExperiment(qp_sequence=qps, length=n, response=response)
+    return ImpulseExperiment(qp_sequence=qps, response=response)
 
 
-def estimate_order(
-    response: Sequence[float],
-    pole_threshold: float = DEFAULT_POLE_THRESHOLD,
-    residual_threshold: float = DEFAULT_RESIDUAL_THRESHOLD,
-) -> OrderEstimate:
+def estimate_order(response: Sequence[float]) -> OrderEstimate:
     """Classify a recorded response as order 0 or order 1.
 
     De-trends by the mean of the last quarter (robust to residual
@@ -91,8 +86,8 @@ def estimate_order(
     transient portion: the samples up to the first one that has settled
     into the tail's noise band, plus one settled successor so the decay to
     zero is part of the fit. Order 1 is reported when the fitted pole
-    magnitude reaches ``pole_threshold`` with a relative RMS residual no
-    larger than ``residual_threshold``; the pole must also clear the
+    magnitude reaches ``POLE_THRESHOLD`` with a relative RMS residual no
+    larger than ``RESIDUAL_THRESHOLD``; the pole must also clear the
     measured noise-to-signal ratio (tail noise band over peak), so a pole
     no larger than the noise floor is never mistaken for memory. The
     residual is normalized by the peak de-trended magnitude; the window,
@@ -144,8 +139,8 @@ def estimate_order(
     # A zero-order response settles by sample 1, so its fitted pole is at
     # most noise_band / peak; requiring the pole to clear that ratio makes
     # the order-0 call exact rather than probabilistic under tail noise.
-    effective_threshold = max(pole_threshold, noise_band / peak)
-    if abs(r) >= effective_threshold and residual <= residual_threshold:
+    effective_threshold = max(POLE_THRESHOLD, noise_band / peak)
+    if abs(r) >= effective_threshold and residual <= RESIDUAL_THRESHOLD:
         if abs(r) >= 1.0:
             raise DegenerateInputError(
                 f"fitted pole {r:.4f} outside the stable order-<=1 family"

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from qpcontrol import cli
 from qpcontrol.cli import main
 from qpcontrol.config import parse_config
 from qpcontrol.harness import (
@@ -26,12 +27,42 @@ TRACE_TEXT = """frame,qp,psnr_db,bits
 """
 
 
+# Per config key, overrides that break one of its invariants.
+INVALID_VALUES = {
+    "objective.lambda": ["objective.lambda=2"],
+    "gains.kp": ["gains.kp=-1"],
+    "range.qp_min": ["range.qp_min=52"],
+    "plant.psnr_slope": ["plant.psnr_slope=0"],
+    "plant.inertia": ["plant.inertia=1"],
+    "plant.disturbance.period": [
+        "plant.disturbance.kind=sinusoid",
+        "plant.disturbance.period=0",
+    ],
+    "kind_pattern": ["kind_pattern=x"],
+    "n_frames": ["n_frames=0"],
+}
+
+
 def run_cli(*args):
     return main([str(a) for a in args])
 
 
 def as_set(overrides):
     return [arg for override in overrides for arg in ("--set", override)]
+
+
+def counted_runs(monkeypatch):
+    """Record the name of each run function the CLI calls."""
+    runs = []
+    for name in ("run_closed_loop", "run_fixed_qp"):
+        run = getattr(cli, name)
+
+        def counted(config, name=name, run=run):
+            runs.append(name)
+            return run(config)
+
+        monkeypatch.setattr(cli, name, counted)
+    return runs
 
 
 class TestSimulate:
@@ -260,7 +291,7 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "bad, message",
-        [("-1", "gains: kp"), ("x", "gains.kp")],
+        [("-1", "gains.kp"), ("x", "gains.kp")],
         ids=["invalid", "unparsed"],
     )
     def test_a_bad_last_point_exits_two_and_writes_nothing(
@@ -272,6 +303,34 @@ class TestSweep:
         overrides = as_set(self._table(tmp_path))
         assert run_cli("sweep", "--out", out, *overrides, *grid) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["2", "x"], ids=["invalid", "unparsed"])
+    def test_every_point_is_built_before_the_first_run(
+        self, tmp_path, monkeypatch, bad
+    ):
+        runs = counted_runs(monkeypatch)
+        out = tmp_path / "out"
+        args = ["sweep", "--out", out, "--set", "n_frames=20", "--grid"]
+        assert run_cli(*args, f"objective.lambda=0,0.5,1,{bad}") == 2
+        assert runs == []
+        assert not out.exists()
+        assert run_cli(*args, "objective.lambda=0,0.5,1") == 0
+        assert runs == ["run_closed_loop"] * 3
+
+    def test_a_bad_later_point_wins_over_an_earlier_run_failure(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # the first point alone exits 3: its control_error_pct is not finite
+        runs = counted_runs(monkeypatch)
+        out = tmp_path / "out"
+        args = ["sweep", "--out", out, "--mode", "fixed"]
+        assert run_cli(*args, "--grid", "objective.target_psnr=1e-307") == 3
+        assert runs == ["run_fixed_qp"]
+        capsys.readouterr()
+        assert run_cli(*args, "--grid", "objective.target_psnr=1e-307,-1") == 2
+        assert capsys.readouterr().err.startswith("error: objective.target_psnr")
+        assert runs == ["run_fixed_qp"]
         assert not out.exists()
 
 
@@ -310,6 +369,13 @@ class TestExitCodes:
 
     def test_unknown_override_key(self, tmp_path):
         assert run_cli("simulate", "--out", tmp_path, "--set", "nope=1") == 2
+
+    @pytest.mark.parametrize("key", INVALID_VALUES)
+    def test_an_invariant_error_starts_with_its_config_key(self, tmp_path, capsys, key):
+        overrides = as_set(INVALID_VALUES[key])
+        assert run_cli("simulate", "--out", tmp_path, *overrides) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_trace_shorter_than_the_run_exits_two(self, tmp_path, capsys):
         # the trace covers frames 0..1 only, so the config fails at load

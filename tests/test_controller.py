@@ -16,7 +16,6 @@ from qpcontrol.controller import (
     controller_frame,
     pid_step,
     policy_qp,
-    reset,
 )
 from qpcontrol.errors import InputDomainError, SequencingError
 
@@ -327,42 +326,6 @@ class TestControllerFrame:
 
 
 class TestReset:
-    def test_reset_zeroes_everything(self):
-        state = ControllerState(qp_offset=32.0)
-        gains = PidGains()
-        for e in (1.0, -0.5, 2.0):
-            policy_qp(pid_step(e, state, gains), FrameKind.INTER, state, QpRange())
-        reset(state, 40.0)
-        assert state.error_integral == 0.0
-        assert state.o_integral == 0.0
-        assert state.o_double_integral == 0.0
-        assert state.prev_error is None
-        assert state.prev_psnr is None
-        assert state.frame_index == 0
-        assert state.qp_offset == 40.0
-
-    def test_reset_twice_is_idempotent(self):
-        state = ControllerState(qp_offset=32.0)
-        reset(state, 35.0)
-        snapshot = state.as_text()
-        reset(state, 35.0)
-        assert state.as_text() == snapshot
-
-    def test_reset_midstream_matches_fresh_instance(self):
-        gains = PidGains()
-        objective = ControlObjective(target_psnr=37.2)
-        used = ControllerState(qp_offset=32.0)
-        controller_frame(None, FrameKind.INTER, used, gains, objective, QpRange())
-        for psnr in (36.0, 36.5, 37.0):
-            controller_frame(psnr, FrameKind.INTER, used, gains, objective, QpRange())
-        reset(used, 32.0)
-        fresh = ControllerState(qp_offset=32.0)
-        assert used == fresh
-        feed = [None, 36.0, 38.1, 37.2]
-        got = [controller_frame(p, FrameKind.INTER, used, gains, objective, QpRange()) for p in feed]
-        want = [controller_frame(p, FrameKind.INTER, fresh, gains, objective, QpRange()) for p in feed]
-        assert got == want
-
     def test_state_text_lists_every_field(self):
         text = ControllerState(qp_offset=32.0).as_text()
         for name in (

@@ -92,6 +92,14 @@ class TestKindPattern:
                 kind_pattern="nope",
             )
 
+    def test_config_is_frozen(self):
+        config = ExperimentConfig(
+            plant=reference_plant(), objective=ControlObjective(target_psnr=37.2)
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.n_frames = 10
+        assert dataclasses.replace(config, n_frames=10).n_frames == 10
+
     def test_config_needs_at_least_one_frame(self):
         with pytest.raises(InputDomainError):
             ExperimentConfig(

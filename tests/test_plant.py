@@ -74,6 +74,13 @@ class TestSyntheticResponse:
         outcome = step_plant(plant, 20, 0)
         assert plant.prev_psnr == outcome.psnr
 
+    def test_initial_psnr_is_the_one_way_to_seed_the_memory(self):
+        with pytest.raises(TypeError):
+            PlantModel.first_order(0.5, prev_psnr=41.0)
+        plant = PlantModel.first_order(0.5, initial_psnr=41.0)
+        step_plant(plant, 40, 0)
+        assert dataclasses.replace(plant).prev_psnr == 41.0
+
     def test_reset_restores_initial_state(self):
         plant = PlantModel.first_order(0.5, initial_psnr=41.0)
         first = step_plant(plant, 32, 0).psnr

@@ -1,0 +1,49 @@
+"""The README's examples run as written."""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from qpcontrol.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def fenced_block(heading: str, language: str) -> str:
+    """The first ``language`` code block under the ``## heading`` section."""
+    text = README.read_text()
+    section = text[text.index(f"\n## {heading}\n") :]
+    start = section.index(f"```{language}\n") + len(f"```{language}\n")
+    return section[start : section.index("```", start)]
+
+
+def cli_examples() -> list:
+    """Each command of the "Command line" block, with the files its comment
+    names, as a test parameter named after its ``--out`` directory."""
+    examples, files = [], []
+    for line in fenced_block("Command line", "sh").replace("\\\n", " ").splitlines():
+        if line.startswith("#"):
+            files += re.findall(r"[\w.]+\.(?:csv|json|txt)\b", line)
+        elif line.strip():
+            words = shlex.split(line)
+            out = words[words.index("--out") + 1]
+            examples.append(pytest.param(words, files, id=out))
+            files = []
+    return examples
+
+
+@pytest.mark.parametrize("words, files", cli_examples())
+def test_command_line_example_writes_the_files_it_names(tmp_path, words, files):
+    assert words[0] == "qpcontrol" and files
+    argv = words[1:]
+    at = argv.index("--out") + 1
+    out = argv[at] = tmp_path / argv[at]
+    assert main([str(arg) for arg in argv]) == 0
+    assert sorted(files) == sorted(path.name for path in out.iterdir())
+
+
+def test_library_use_example_runs(capsys):
+    exec(compile(fenced_block("Library use", "python"), str(README), "exec"), {})
+    assert capsys.readouterr().out.startswith("MetricsReport(avg_psnr=")

@@ -101,10 +101,10 @@ def record_bits(records):
     qps=st.lists(st.integers(QP_MIN, QP_MAX), min_size=1, max_size=MAX_FRAMES),
 )
 def test_stepper_matches_step_plant_bit_for_bit(plant, override, qps):
-    step = plant_stepper(plant, override)
     reference = plant if override is None else dataclasses.replace(
         plant, disturbance=override
     )
+    step = plant_stepper(reference)
     want = [step_plant(reference, qp, t) for t, qp in enumerate(qps)]
     got = [step(qp, t) for t, qp in enumerate(qps)]
     assert bit_pattern(got) == bit_pattern((o.psnr, o.bits) for o in want)
@@ -129,8 +129,7 @@ wide = st.floats(-1e308, 1e308)
 gain_values = st.floats(0.0, 4.0) | st.floats(0.0, 1e300)
 
 
-@settings(max_examples=300)
-@given(
+controller_inputs = dict(
     gains=st.builds(PidGains, kp=gain_values, ki=gain_values, kd=gain_values),
     objective=st.builds(
         ControlObjective,
@@ -143,6 +142,33 @@ gain_values = st.floats(0.0, 4.0) | st.floats(0.0, 1e300)
     | st.integers(1, 5).map(lambda n: f"intra_every:{n}"),
     psnrs=st.lists(st.floats(20.0, 50.0) | wide, max_size=MAX_FRAMES),
 )
+
+
+def controller_pair(gains, objective, qp_range, qp_offset, kind_pattern):
+    """One fresh stream's ``(stepped, reference)`` frame functions, each
+    ``(psnr_prev_frame, t) -> (qp, o)``: the ``controller_stepper`` fed
+    ``compute_error`` of each PSNR, and ``controller_frame``."""
+    kind_at = parse_kind_pattern(kind_pattern)
+    state = ControllerState(qp_offset=qp_offset)
+
+    def reference(psnr, t):
+        qp = controller_frame(psnr, kind_at(t), state, gains, objective, qp_range)
+        return qp, state.last_o
+
+    step = controller_stepper(qp_offset, kind_at, gains, qp_range)
+    error, prev = None, None
+
+    def stepped(psnr, t):
+        nonlocal error, prev
+        if psnr is not None:
+            error, prev = compute_error(psnr, prev, objective), psnr
+        return step(error, t)
+
+    return stepped, reference
+
+
+@settings(max_examples=300)
+@given(**controller_inputs)
 @example(  # psnr - prev_psnr overflows on frame 2: a non-finite error
     gains=PidGains(),
     objective=ControlObjective(37.2),
@@ -162,24 +188,24 @@ gain_values = st.floats(0.0, 4.0) | st.floats(0.0, 1e300)
 def test_controller_stepper_matches_controller_frame_bit_for_bit(
     gains, objective, qp_bounds, qp_offset, kind_pattern, psnrs
 ):
-    qp_range = QpRange(*qp_bounds)
-    kind_at = parse_kind_pattern(kind_pattern)
-    state = ControllerState(qp_offset=qp_offset)
-
-    def reference(psnr, t):
-        qp = controller_frame(psnr, kind_at(t), state, gains, objective, qp_range)
-        return qp, state.last_o
-
-    step = controller_stepper(qp_offset, kind_at, gains, qp_range)
-    error, prev = None, None
-
-    def stepped(psnr, t):
-        nonlocal error, prev
-        if psnr is not None:
-            error, prev = compute_error(psnr, prev, objective), psnr
-        return step(error, t)
-
+    stepped, reference = controller_pair(
+        gains, objective, QpRange(*qp_bounds), qp_offset, kind_pattern
+    )
     assert controller_outcomes(psnrs, stepped) == controller_outcomes(psnrs, reference)
+
+
+@settings(max_examples=300)
+@given(**controller_inputs)
+def test_every_qp_lies_in_range_or_the_frame_raises(
+    gains, objective, qp_bounds, qp_offset, kind_pattern, psnrs
+):
+    qp_min, qp_max = qp_bounds
+    frame_qps = controller_pair(
+        gains, objective, QpRange(qp_min, qp_max), qp_offset, kind_pattern
+    )
+    for frame_qp in frame_qps:
+        for outcome in controller_outcomes(psnrs, frame_qp):
+            assert outcome is InputDomainError or qp_min <= outcome[0] <= qp_max
 
 
 @pytest.mark.parametrize(

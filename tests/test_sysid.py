@@ -3,18 +3,53 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qpcontrol.controller import QpRange
 from qpcontrol.errors import DegenerateInputError, InputDomainError
 from qpcontrol.plant import (
     DisturbanceKind,
     DisturbanceSpec,
+    PlantKind,
     PlantModel,
     disturbance_at,
 )
-from qpcontrol.sysid import estimate_order, run_impulse
+from qpcontrol.sysid import POLE_THRESHOLD, estimate_order, run_impulse
 
 QP_RANGE = QpRange()
+
+
+def order_outcome(response):
+    """``estimate_order``'s fields, or the type of the exception it raises."""
+    try:
+        estimate = estimate_order(response)
+    except Exception as exc:
+        return type(exc)
+    return estimate.order, estimate.pole, estimate.fit_residual
+
+
+@st.composite
+def impulse_responses(draw):
+    """``run_impulse`` on a random zero- or first-order plant, with seeded
+    noise added to the response or not."""
+    plant = PlantModel(
+        draw(st.sampled_from([PlantKind.ZERO_ORDER, PlantKind.FIRST_ORDER])),
+        psnr_intercept=draw(st.floats(20.0, 80.0)),
+        psnr_slope=draw(st.floats(0.01, 2.0)),
+        inertia=draw(st.floats(0.0, 0.95)),
+    )
+    qp_min = draw(st.integers(0, 50))
+    qp_range = QpRange(qp_min, draw(st.integers(qp_min + 1, 51)))
+    response = run_impulse(plant, qp_range, draw(st.integers(8, 64))).response
+    if draw(st.booleans()):
+        noise = DisturbanceSpec(
+            kind=DisturbanceKind.SEEDED_NOISE,
+            amplitude=draw(st.floats(0.0, 5.0)),
+            seed=draw(st.integers(0, 2**64 - 1)),
+        )
+        response = [v + disturbance_at(noise, t) for t, v in enumerate(response)]
+    return response
 
 
 class TestRunImpulse:
@@ -22,7 +57,6 @@ class TestRunImpulse:
         experiment = run_impulse(PlantModel.zero_order(), QP_RANGE, 16)
         assert experiment.qp_sequence[0] == 0
         assert set(experiment.qp_sequence[1:]) == {51}
-        assert experiment.length == 16
         assert len(experiment.response) == 16
 
     def test_minimum_length_boundary(self):
@@ -93,12 +127,23 @@ class TestEstimateOrder:
         with pytest.raises(DegenerateInputError):
             estimate_order([0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 4.0, 8.0])
 
-    def test_thresholds_are_configurable(self):
-        response = [0.1 ** t for t in range(32)]
-        default = estimate_order(response)
-        assert default.order == 1
-        strict = estimate_order(response, pole_threshold=0.2)
-        assert strict.order == 0
+    def test_a_pole_above_the_threshold_is_order_one(self):
+        assert POLE_THRESHOLD < 0.1
+        assert estimate_order([0.1 ** t for t in range(32)]).order == 1
+
+    def test_a_pole_below_the_threshold_is_order_zero(self):
+        assert POLE_THRESHOLD > 0.04
+        assert estimate_order([0.04 ** t for t in range(32)]).order == 0
+
+    @given(
+        response=impulse_responses(),
+        sign=st.sampled_from([1.0, -1.0]),
+        k=st.integers(-20, 20),
+    )
+    def test_power_of_two_scaling_changes_nothing(self, response, sign, k):
+        # every product with sign * 2**k is exact, so the fit is too
+        factor = sign * 2.0**k
+        assert order_outcome([factor * v for v in response]) == order_outcome(response)
 
     def test_scale_invariance(self):
         base_response = list(
