@@ -14,13 +14,12 @@ from .controller import (
 )
 from .config import emit_config, parse_config
 from .harness import (
-    ComparisonReport,
     ExperimentConfig,
     FrameRecord,
     MetricsReport,
     RunMode,
-    compare,
     compute_metrics,
+    fluctuation_reduction_pct,
     run_closed_loop,
     run_fixed_qp,
 )
@@ -40,7 +39,6 @@ from .sysid import ImpulseExperiment, OrderEstimate, estimate_order, run_impulse
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComparisonReport",
     "ControlObjective",
     "ControllerState",
     "DisturbanceKind",
@@ -59,13 +57,13 @@ __all__ = [
     "RunMode",
     "TraceTable",
     "clamp_round_qp",
-    "compare",
     "compute_error",
     "compute_metrics",
     "controller_frame",
     "disturbance_at",
     "emit_config",
     "estimate_order",
+    "fluctuation_reduction_pct",
     "parse_config",
     "pid_step",
     "policy_qp",

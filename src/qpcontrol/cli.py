@@ -31,7 +31,6 @@ from .errors import (
 from .harness import (
     MetricsReport,
     RunMode,
-    compare,
     comparison_text,
     compute_metrics,
     run_closed_loop,
@@ -40,8 +39,7 @@ from .harness import (
     write_metrics_json,
     write_trace_csv,
 )
-from .plant import PlantKind
-from .sysid import estimate_order, run_impulse
+from .sysid import MIN_RESPONSE_LENGTH, estimate_order, run_impulse
 
 
 def _add_common_options(sub: argparse.ArgumentParser) -> None:
@@ -149,30 +147,23 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_impulse_coverage(config) -> None:
-    """The impulse drives range.qp_min at frame 0 and range.qp_max after it,
-    so a trace table must span each QP where it is driven. A table that
-    spans only part of the range is valid input for the other commands."""
-    plant = config.plant
-    if plant.kind is not PlantKind.TRACE_DRIVEN:
-        return
-    qp_range = config.qp_range
-    driven = [("range.qp_min", qp_range.qp_min)]
-    driven += [("range.qp_max", qp_range.qp_max)] * (config.n_frames - 1)
-    for t, (key, qp) in enumerate(driven):
-        try:
-            plant.trace.lookup(t, qp)
-        except TraceDomainError as exc:
-            raise ConfigInvariantError(
-                f"{key}={qp} is not covered by "
-                f"plant.trace_path={plant.trace_path}: {exc}"
-            ) from exc
-
-
 def _cmd_identify(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    _check_impulse_coverage(config)
-    experiment = run_impulse(config.plant, config.qp_range, config.n_frames)
+    if config.n_frames < MIN_RESPONSE_LENGTH:
+        raise ConfigInvariantError(
+            f"n_frames={config.n_frames} is too short for identify: "
+            f"the impulse needs at least {MIN_RESPONSE_LENGTH} frames"
+        )
+    qp_range, plant = config.qp_range, config.plant
+    try:
+        experiment = run_impulse(plant, qp_range, config.n_frames)
+    except TraceDomainError as exc:
+        # A trace table that spans only part of the QP range fails here, on
+        # the first frame whose driven QP it lacks, before any write.
+        raise ConfigInvariantError(
+            f"range.qp_min={qp_range.qp_min} or range.qp_max={qp_range.qp_max} "
+            f"is not covered by plant.trace_path={plant.trace_path}: {exc}"
+        ) from exc
     estimate = estimate_order(experiment.response)
     pole = "none" if estimate.pole is None else f"{estimate.pole:.6f}"
     report = (
@@ -194,8 +185,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     config = _load_config(args)
     controlled = compute_metrics(run_closed_loop(config), config.objective)
     baseline = compute_metrics(run_fixed_qp(config), config.objective)
-    report = compare(controlled, baseline)
-    text = comparison_text(report)
+    text = comparison_text(controlled, baseline)
     out = _out_dir(args)
     (out / "comparison.txt").write_text(text)
     write_metrics_json(controlled, out / "metrics_controlled.json")

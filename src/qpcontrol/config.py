@@ -3,9 +3,8 @@
 Grammar: one ``key = value`` assignment per line, ``#`` starts a comment,
 blank lines are ignored. Keys are dotted paths into the experiment
 configuration (``gains.kp``, ``plant.disturbance.seed``); unknown keys are
-rejected, never ignored. Absent keys take the dataclass field defaults,
-except the few keys whose configuration default differs. The same
-key syntax backs CLI ``--set`` overrides, and ``emit_config`` writes a file
+rejected, never ignored. Absent keys take the dataclass field defaults. The
+same key syntax backs CLI ``--set`` overrides, and ``emit_config`` writes a file
 that parses back to an equal configuration.
 """
 
@@ -75,13 +74,11 @@ def _fmt(value) -> str:
 
 
 class Key(NamedTuple):
-    """One configuration key: its parser, the dotted ``ExperimentConfig``
-    attribute it reads (empty when that is the key) and its default, None
-    when the dataclass field supplies it."""
+    """One configuration key: its parser and the dotted ``ExperimentConfig``
+    attribute it reads (empty when that is the key)."""
 
     parse: Callable[[str, str], object]
     attr: str = ""
-    default: object = None
 
 
 _TRACE_PATH = "plant.trace_path"
@@ -89,7 +86,7 @@ _TRACE_PATH = "plant.trace_path"
 # The only list of keys; it drives parsing, emission and --grid validation.
 # Order is the canonical emission order.
 SCHEMA: dict[str, Key] = {
-    "objective.target_psnr": Key(_parse_float, default=37.2),
+    "objective.target_psnr": Key(_parse_float),
     "objective.lambda": Key(_parse_float, "objective.lambda_"),
     "gains.kp": Key(_parse_float),
     "gains.ki": Key(_parse_float),
@@ -100,10 +97,10 @@ SCHEMA: dict[str, Key] = {
     "kind_pattern": Key(lambda key, raw: raw),
     "n_frames": Key(_parse_int),
     "mode": Key(_parse_enum(RunMode)),
-    "plant.kind": Key(_parse_enum(PlantKind), default=PlantKind.FIRST_ORDER),
+    "plant.kind": Key(_parse_enum(PlantKind)),
     "plant.psnr_intercept": Key(_parse_float),
     "plant.psnr_slope": Key(_parse_float),
-    "plant.inertia": Key(_parse_float, default=0.5),
+    "plant.inertia": Key(_parse_float),
     "plant.rate_ref_bits": Key(_parse_float),
     "plant.rate_ref_qp": Key(_parse_int),
     "plant.initial_psnr": Key(_parse_optional_float),
@@ -143,7 +140,7 @@ def _load_trace(trace_path: str | None) -> TraceTable:
 
 def _plant(trace_table: Callable[[str | None], TraceTable], **fields) -> PlantModel:
     trace = None
-    if fields["kind"] is PlantKind.TRACE_DRIVEN:
+    if fields.get("kind") is PlantKind.TRACE_DRIVEN:
         trace = trace_table(fields.get("trace_path"))
     return PlantModel(trace=trace, **fields)
 
@@ -206,16 +203,14 @@ def parse_configs(
     ``overrides`` entries are ``key=value`` strings applied after the file,
     in order, and each point is a sequence of them applied after
     ``overrides``, on a copy of the file's values; error messages number
-    the two as one list, ``override[i]``. Keys set nowhere take their
-    ``Key.default`` or, without one, the dataclass field's. Missing file,
-    malformed line, unknown key and invariant violation each raise their
-    own ConfigError subclass, naming the offending key, before any
-    configuration is returned. Each distinct ``plant.trace_path`` is loaded
-    once, and its table is shared by the configurations that name it;
-    nothing is cached between calls.
+    the two as one list, ``override[i]``. Keys set nowhere take the
+    dataclass field's default. Missing file, malformed line, unknown key
+    and invariant violation each raise their own ConfigError subclass,
+    naming the offending key, before any configuration is returned. Each
+    distinct ``plant.trace_path`` is loaded once, and its table is shared
+    by the configurations that name it; nothing is cached between calls.
     """
-    kv = {key: e.default for key, e in SCHEMA.items() if e.default is not None}
-
+    kv: dict[str, object] = {}
     if path is not None:
         file_path = Path(path)
         if not file_path.is_file():

@@ -60,7 +60,7 @@ class ControlObjective:
     only damps frame-to-frame PSNR changes.
     """
 
-    target_psnr: float
+    target_psnr: float = 37.2
     lambda_: float = 0.8
 
     def __post_init__(self) -> None:

@@ -154,18 +154,6 @@ class MetricsReport(NamedTuple):
         return self._asdict()
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Side-by-side metrics with the quality-fluctuation reduction."""
-
-    controlled: MetricsReport
-    baseline: MetricsReport
-    fluctuation_reduction_pct: float
-
-    def rows(self) -> list[tuple[str, MetricsReport]]:
-        return [("fixed_qp", self.baseline), ("controlled", self.controlled)]
-
-
 def _run(
     config: ExperimentConfig,
     next_qp: Callable[[float | None, int], tuple[int, float]],
@@ -280,10 +268,11 @@ def compute_metrics(
     return report
 
 
-def compare(controlled: MetricsReport, baseline: MetricsReport) -> ComparisonReport:
-    """Pair two reports from the same plant/disturbance/seed for the table.
-
-    The reduction is ``100 * (baseline_fluc - controlled_fluc) /
+def fluctuation_reduction_pct(
+    controlled: MetricsReport, baseline: MetricsReport
+) -> float:
+    """Quality-fluctuation reduction of two runs of the same
+    plant/disturbance/seed: ``100 * (baseline_fluc - controlled_fluc) /
     baseline_fluc``; swapping the arguments' roles flips its sign. A
     baseline fluctuation of exactly 0 gives 0 when the controlled one is 0
     too and -inf otherwise, the formula's limit.
@@ -291,12 +280,8 @@ def compare(controlled: MetricsReport, baseline: MetricsReport) -> ComparisonRep
     base = baseline.quality_fluc_db
     ours = controlled.quality_fluc_db
     if base == 0.0:
-        reduction = 0.0 if ours == 0.0 else -math.inf
-    else:
-        reduction = 100.0 * (base - ours) / base
-    return ComparisonReport(
-        controlled=controlled, baseline=baseline, fluctuation_reduction_pct=reduction
-    )
+        return 0.0 if ours == 0.0 else -math.inf
+    return 100.0 * (base - ours) / base
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +330,14 @@ _COLUMN_TITLES = (
 )
 
 
-def comparison_text(report: ComparisonReport) -> str:
-    """Aligned plain-text table, one row per method, one column per metric."""
+def comparison_text(controlled: MetricsReport, baseline: MetricsReport) -> str:
+    """Aligned plain-text table, one row per method, one column per metric,
+    and the quality-fluctuation reduction."""
     headers = ["method", *_COLUMN_TITLES]
-    table_rows = []
-    for label, metrics in report.rows():
-        values = [f"{value:.4f}" for value in metrics]
-        table_rows.append([label] + values)
+    table_rows = [
+        [label, *(f"{value:.4f}" for value in metrics)]
+        for label, metrics in (("fixed_qp", baseline), ("controlled", controlled))
+    ]
     widths = [
         max(len(headers[i]), *(len(row[i]) for row in table_rows))
         for i in range(len(headers))
@@ -361,7 +347,6 @@ def comparison_text(report: ComparisonReport) -> str:
 
     lines = [fmt_row(headers)]
     lines.extend(fmt_row(row) for row in table_rows)
-    lines.append(
-        f"quality fluctuation reduction: {report.fluctuation_reduction_pct:.1f}%"
-    )
+    reduction = fluctuation_reduction_pct(controlled, baseline)
+    lines.append(f"quality fluctuation reduction: {reduction:.1f}%")
     return "\n".join(lines) + "\n"

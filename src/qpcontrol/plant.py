@@ -225,10 +225,10 @@ class PlantModel:
     already settled at its input.
     """
 
-    kind: PlantKind
+    kind: PlantKind = PlantKind.FIRST_ORDER
     psnr_intercept: float = 50.0
     psnr_slope: float = 0.4
-    inertia: float = 0.0
+    inertia: float = 0.5
     rate_ref_bits: float = 350_000.0
     rate_ref_qp: int = 32
     disturbance: DisturbanceSpec = field(default_factory=DisturbanceSpec)

@@ -73,7 +73,12 @@ def run_impulse(plant: PlantModel, qp_range: QpRange, n: int) -> ImpulseExperime
     step = plant_stepper(replace(plant, disturbance=DisturbanceSpec()))
     qps = (qp_range.qp_min,) + (qp_range.qp_max,) * (n - 1)
     psnr = [step(qp, t)[0] for t, qp in enumerate(qps)]
-    settled = mean_about_first(psnr[-(n // 4):])
+    try:
+        settled = mean_about_first(psnr[-(n // 4):])
+    except OverflowError:
+        raise InputDomainError(
+            "the impulse run's settled psnr sums past the float range"
+        ) from None
     response = tuple(value - settled for value in psnr)
     return ImpulseExperiment(qp_sequence=qps, response=response)
 
@@ -107,9 +112,13 @@ def estimate_order(response: Sequence[float]) -> OrderEstimate:
         )
     if not all(map(math.isfinite, arr)):
         raise InputDomainError("response must be finite")
-    scale = max(map(abs, arr))
+    scale, exponent = math.frexp(max(map(abs, arr)))
     if scale == 0.0:
         raise DegenerateInputError("all-zero response: order undefined")
+    # The fit is invariant under power-of-two scaling, so bringing the
+    # largest sample into [0.5, 1) changes no result and keeps every sum
+    # and product below within the float range.
+    arr = [math.ldexp(value, -exponent) for value in arr]
 
     n = len(arr)
     quarter = n // 4

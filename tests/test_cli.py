@@ -51,6 +51,21 @@ def as_set(overrides):
     return [arg for override in overrides for arg in ("--set", override)]
 
 
+def impulse_trace(path, psnrs):
+    """Write a table whose frame t reads ``psnrs[t]`` at QPs 0 and 51, so the
+    default impulse sees exactly these PSNRs; return the overrides that
+    run it."""
+    rows = (f"{t},0,{p!r},1000\n{t},51,{p!r},1000\n" for t, p in enumerate(psnrs))
+    path.write_text("frame,qp,psnr_db,bits\n" + "".join(rows))
+    return as_set(
+        [
+            "plant.kind=trace_driven",
+            f"plant.trace_path={path}",
+            f"n_frames={len(psnrs)}",
+        ]
+    )
+
+
 def counted_runs(monkeypatch):
     """Record the name of each run function the CLI calls."""
     runs = []
@@ -145,6 +160,44 @@ class TestIdentify:
         report = (tmp_path / "identify_report.txt").read_text()
         assert "order = 0" in report
         assert "pole = none" in report
+
+    def test_the_impulse_run_looks_up_each_frame_once(self, tmp_path, monkeypatch):
+        lookups = []
+        lookup = TraceTable.lookup
+
+        def counted(table, frame_index, qp):
+            lookups.append(frame_index)
+            return lookup(table, frame_index, qp)
+
+        monkeypatch.setattr(TraceTable, "lookup", counted)
+        overrides = impulse_trace(tmp_path / "trace.csv", [40.0] + [30.0] * 63)
+        assert run_cli("identify", "--out", tmp_path / "out", *overrides) == 0
+        assert lookups == list(range(64))
+
+    def test_too_few_frames_exit_two_naming_the_key(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("identify", "--out", out, "--set", "n_frames=4") == 2
+        assert (
+            "error: n_frames=4 is too short for identify: "
+            "the impulse needs at least 8 frames"
+        ) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_settled_level_past_the_float_range_exits_three(self, tmp_path, capsys):
+        psnrs = [0.0] * 48 + [-1e308] + [0.7e308] * 15
+        overrides = impulse_trace(tmp_path / "trace.csv", psnrs)
+        out = tmp_path / "out"
+        assert run_cli("identify", "--out", out, *overrides) == 3
+        assert "settled psnr sums past the float range" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_near_max_response_is_fitted(self, tmp_path):
+        psnrs = [1e308, 1e308, 1e308, -1e308, 0.0, 0.0, 0.0, 0.0]
+        overrides = impulse_trace(tmp_path / "trace.csv", psnrs)
+        assert run_cli("identify", "--out", tmp_path / "out", *overrides) == 0
+        assert (tmp_path / "out" / "identify_report.txt").read_text().startswith(
+            "order = "
+        )
 
 
 class TestCompare:
@@ -476,9 +529,13 @@ class TestExitCodes:
         assert run_cli("identify", "--out", out, *common) == 2
         err = capsys.readouterr().err
         assert "range.qp_min" in err and "plant.trace_path" in err
+        assert "qp 0 outside tabulated span [30, 40] at frame 0" in err
         assert not out.exists()
         assert run_cli("identify", "--out", out, *common, "--set", "range.qp_min=30") == 2
-        assert "range.qp_max" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "range.qp_max" in err
+        assert "qp 51 outside tabulated span [30, 40] at frame 1" in err
+        assert not out.exists()
         narrowed = common + ["--set", "range.qp_min=30", "--set", "range.qp_max=40"]
         assert run_cli("identify", "--out", out, *narrowed) == 0
 
@@ -528,7 +585,7 @@ class TestExitCodes:
             ("simulate", ["--set", "objective.target_psnr=1e-307", "--mode", "fixed"]),
             ("compare", ["--set", "objective.target_psnr=1e-307"]),
             ("sweep", ["--set", "objective.target_psnr=1e-307", "--grid", "mode=fixed"]),
-            ("identify", ["--set", "n_frames=1"]),
+            ("identify", ["--set", "range.qp_min=51"]),
         ],
     )
     def test_a_failed_run_creates_no_out_directory(

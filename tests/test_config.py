@@ -7,14 +7,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qpcontrol.config import SCHEMA, emit_config, parse_config, parse_configs
+from qpcontrol.controller import ControlObjective
 from qpcontrol.errors import (
     ConfigInvariantError,
     ConfigParseError,
     MissingConfigFile,
     UnknownConfigKey,
 )
-from qpcontrol.harness import RunMode
-from qpcontrol.plant import DisturbanceKind, PlantKind
+from qpcontrol.harness import ExperimentConfig, RunMode
+from qpcontrol.plant import DisturbanceKind, PlantKind, PlantModel
 
 TRACE_TEXT = """frame,qp,psnr_db,bits
 0,30,38.000,500000
@@ -36,10 +37,9 @@ class TestDefaults:
         assert config.plant.kind is PlantKind.FIRST_ORDER
         assert config.plant.inertia == 0.5
 
-    def test_only_config_specific_defaults_live_in_the_schema(self):
-        # every other key takes its dataclass field default
-        owned = {key for key, entry in SCHEMA.items() if entry.default is not None}
-        assert owned == {"objective.target_psnr", "plant.kind", "plant.inertia"}
+    def test_the_dataclass_fields_hold_every_default(self):
+        expected = ExperimentConfig(plant=PlantModel(), objective=ControlObjective())
+        assert parse_config(None) == expected
 
     def test_readme_table_lists_every_key_with_its_default(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"

@@ -18,9 +18,9 @@ from qpcontrol.harness import (
     MetricsReport,
     RunMode,
     TRACE_CSV_HEADER,
-    compare,
     comparison_text,
     compute_metrics,
+    fluctuation_reduction_pct,
     metrics_json_text,
     parse_kind_pattern,
     run_closed_loop,
@@ -327,25 +327,25 @@ class TestCompare:
 
     def test_identical_inputs_give_zero_reduction(self):
         report = self.build(0.3)
-        assert compare(report, report).fluctuation_reduction_pct == 0.0
+        assert fluctuation_reduction_pct(report, report) == 0.0
 
     def test_worked_example(self):
-        result = compare(self.build(0.18), self.build(1.22))
-        assert result.fluctuation_reduction_pct == pytest.approx(85.2, abs=0.05)
+        result = fluctuation_reduction_pct(self.build(0.18), self.build(1.22))
+        assert result == pytest.approx(85.2, abs=0.05)
 
     def test_sign_flips_when_roles_swap(self):
-        forward = compare(self.build(0.18), self.build(1.22))
-        backward = compare(self.build(1.22), self.build(0.18))
-        assert forward.fluctuation_reduction_pct > 0
-        assert backward.fluctuation_reduction_pct < 0
+        forward = fluctuation_reduction_pct(self.build(0.18), self.build(1.22))
+        backward = fluctuation_reduction_pct(self.build(1.22), self.build(0.18))
+        assert forward > 0
+        assert backward < 0
 
     def test_rows_order(self):
-        result = compare(self.build(0.1), self.build(0.2))
-        labels = [label for label, _ in result.rows()]
+        text = comparison_text(self.build(0.1), self.build(0.2))
+        labels = [line.split()[0] for line in text.splitlines()[1:3]]
         assert labels == ["fixed_qp", "controlled"]
 
     def test_rendered_table_mentions_both_methods(self):
-        text = comparison_text(compare(self.build(0.18), self.build(1.22)))
+        text = comparison_text(self.build(0.18), self.build(1.22))
         assert "fixed_qp" in text and "controlled" in text
         assert "quality fluctuation reduction: 85.2%" in text
 

@@ -313,3 +313,17 @@ def test_lookup_matches_a_linear_scan(qps, data, frame_index, qp):
     assert outcome_of(table.lookup, frame_index, qp) == outcome_of(
         linear_lookup, table, frame_index, qp
     )
+
+
+@given(qps=st.sets(st.integers(0, 51), min_size=1, max_size=12), data=st.data())
+def test_lookup_is_non_increasing_in_qp(qps, data):
+    def falling(values):
+        drawn = data.draw(st.lists(values, min_size=len(qps), max_size=len(qps)))
+        return sorted(drawn, reverse=True)
+
+    psnrs = falling(st.floats(-1e300, 1e300))
+    bits = falling(st.floats(0.0, 1e300))
+    table = TraceTable({0: list(zip(sorted(qps), psnrs, bits))})
+    outcomes = [table.lookup(0, qp) for qp in range(min(qps), max(qps) + 1)]
+    for (psnr, bit), (next_psnr, next_bit) in zip(outcomes, outcomes[1:]):
+        assert next_psnr <= psnr and next_bit <= bit

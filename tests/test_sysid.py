@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qpcontrol.controller import QpRange
@@ -144,6 +144,22 @@ class TestEstimateOrder:
         # every product with sign * 2**k is exact, so the fit is too
         factor = sign * 2.0**k
         assert order_outcome([factor * v for v in response]) == order_outcome(response)
+
+    @given(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([1.7e308, -1.7e308, 1e308, -1e308, 0.0]),
+            min_size=8,
+            max_size=64,
+        )
+    )
+    @example([1.7e308, 1.7e308, -1.7e308, 1.7e308, 0.0, 0.0, 0.0, 0.0])
+    def test_every_finite_response_is_fitted_or_rejected(self, response):
+        # near-max samples: no sum, product or difference may leave the floats
+        try:
+            estimate_order(response)
+        except (InputDomainError, DegenerateInputError):
+            pass
 
     def test_scale_invariance(self):
         base_response = list(
