@@ -10,23 +10,17 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .config import (
-    FIXED_QP_METRICS_UNREAD,
-    SCHEMA,
-    emit_config,
-    parse_config,
-    parse_configs,
-)
+from .config import SCHEMA, emit_config, parse_config, parse_configs
+from .controller import PidGains
 from .errors import (
     ConfigError,
-    ConfigInvariantError,
     DegenerateInputError,
     InputDomainError,
     SequencingError,
     TraceDomainError,
-    UnknownConfigKey,
 )
 from .harness import (
     MetricsReport,
@@ -40,71 +34,6 @@ from .harness import (
     write_trace_csv,
 )
 from .sysid import MIN_RESPONSE_LENGTH, estimate_order, run_impulse
-
-
-def _add_common_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", type=Path, default=None, help="configuration file")
-    sub.add_argument(
-        "--out", type=Path, default=Path("."), help="output directory (created if absent)"
-    )
-    sub.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="dotted-path configuration override, repeatable",
-    )
-    sub.add_argument(
-        "--seed", type=int, default=None, help="plant.disturbance.seed override"
-    )
-    sub.add_argument(
-        "--mode",
-        choices=[m.value for m in RunMode],
-        default=None,
-        help="run mode override",
-    )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qpcontrol",
-        description="Closed-loop QP quality control simulator and analysis tools.",
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-
-    simulate = subparsers.add_parser(
-        "simulate", help="run one experiment and emit trace.csv + metrics.json"
-    )
-    _add_common_options(simulate)
-    simulate.set_defaults(func=_cmd_simulate)
-
-    identify = subparsers.add_parser(
-        "identify", help="impulse-response order estimation of the configured plant"
-    )
-    _add_common_options(identify)
-    identify.set_defaults(func=_cmd_identify)
-
-    compare_cmd = subparsers.add_parser(
-        "compare", help="run controlled and fixed-QP on one config and tabulate both"
-    )
-    _add_common_options(compare_cmd)
-    compare_cmd.set_defaults(func=_cmd_compare)
-
-    sweep = subparsers.add_parser(
-        "sweep", help="run a parameter grid and emit one metrics row per point"
-    )
-    _add_common_options(sweep)
-    sweep.add_argument(
-        "--grid",
-        action="append",
-        default=[],
-        metavar="KEY=V1,V2,...",
-        help="grid axis over a config key, repeatable (Cartesian product)",
-    )
-    sweep.set_defaults(func=_cmd_sweep)
-
-    return parser
 
 
 def _flag_overrides(args: argparse.Namespace) -> list[str]:
@@ -150,7 +79,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_identify(args: argparse.Namespace) -> int:
     config = _load_config(args)
     if config.n_frames < MIN_RESPONSE_LENGTH:
-        raise ConfigInvariantError(
+        raise ConfigError(
             f"n_frames={config.n_frames} is too short for identify: "
             f"the impulse needs at least {MIN_RESPONSE_LENGTH} frames"
         )
@@ -160,7 +89,7 @@ def _cmd_identify(args: argparse.Namespace) -> int:
     except TraceDomainError as exc:
         # A trace table that spans only part of the QP range fails here, on
         # the first frame whose driven QP it lacks, before any write.
-        raise ConfigInvariantError(
+        raise ConfigError(
             f"range.qp_min={qp_range.qp_min} or range.qp_max={qp_range.qp_max} "
             f"is not covered by plant.trace_path={plant.trace_path}: {exc}"
         ) from exc
@@ -194,43 +123,47 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_grid(grid_args: list[str]) -> list[tuple[str, list[str]]]:
-    axes: list[tuple[str, list[str]]] = []
+def _parse_grid(grid_args: list[str]) -> dict[str, list[str]]:
+    axes: dict[str, list[str]] = {}
     for spec in grid_args:
         if "=" not in spec:
-            raise UnknownConfigKey(f"--grid expects KEY=V1,V2,..., got {spec!r}")
+            raise ConfigError(f"--grid expects KEY=V1,V2,..., got {spec!r}")
         key, _, raw_values = spec.partition("=")
         key = key.strip()
         if key not in SCHEMA:
-            raise UnknownConfigKey(f"--grid: unknown key {key!r}")
+            raise ConfigError(f"--grid: unknown key {key!r}")
+        if key in axes:
+            raise ConfigError(f"--grid: key {key!r} given twice")
         values = [v.strip() for v in raw_values.split(",") if v.strip()]
         if not values:
-            raise UnknownConfigKey(f"--grid: no values for key {key!r}")
-        axes.append((key, values))
+            raise ConfigError(f"--grid: no values for key {key!r}")
+        axes[key] = values
     return axes
 
 
 def _run_key(config) -> str:
-    """The configuration as ``emit_config`` writes it, less the keys a
-    fixed-QP run's metrics never read: equal keys give equal metrics."""
-    text = emit_config(config)
-    if config.mode is RunMode.CONTROLLED:
-        return text
-    return "".join(
-        line
-        for line in text.splitlines(keepends=True)
-        if line.partition(" = ")[0] not in FIXED_QP_METRICS_UNREAD
-    )
+    """The configuration as ``emit_config`` writes it: equal keys give
+    equal metrics."""
+    if config.mode is not RunMode.CONTROLLED:
+        # A fixed-QP run holds the anchor QP, so no gain or frame kind
+        # reaches it, and the objective weight enters only its records'
+        # error column: its metrics read none of these fields.
+        config = replace(
+            config,
+            gains=PidGains(),
+            kind_pattern="inter",
+            objective=replace(config.objective, lambda_=1.0),
+        )
+    return emit_config(config)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if not args.grid:
-        print("error: sweep requires at least one --grid axis", file=sys.stderr)
-        return 2
+        raise ConfigError("sweep requires at least one --grid axis")
     axes = _parse_grid(args.grid)
-    keys = [key for key, _ in axes]
+    keys = list(axes)
     # duplicate grid points are dropped
-    points = list(dict.fromkeys(itertools.product(*(values for _, values in axes))))
+    points = list(dict.fromkeys(itertools.product(*axes.values())))
     flags = _flag_overrides(args)
     point_overrides = [
         [f"{key}={value}" for key, value in zip(keys, combo)] + flags for combo in points
@@ -250,6 +183,50 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     (out / "sweep.csv").write_text("\n".join(rows) + "\n")
     print(f"sweep: {len(points)} grid points over {', '.join(keys)}")
     return 0
+
+
+_COMMANDS = (
+    ("simulate", "run one experiment and emit trace.csv + metrics.json", _cmd_simulate),
+    ("identify", "impulse-response order estimation of the configured plant", _cmd_identify),
+    ("compare", "run controlled and fixed-QP on one config and tabulate both", _cmd_compare),
+    ("sweep", "run a parameter grid and emit one metrics row per point", _cmd_sweep),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="qpcontrol",
+        description="Closed-loop QP quality control simulator and analysis tools.",
+    )
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, handler in _COMMANDS:
+        sub = subparsers.add_parser(name, help=help_text)
+        sub.set_defaults(func=handler)
+        sub.add_argument("--config", type=Path, help="configuration file")
+        sub.add_argument(
+            "--out", type=Path, default=Path("."), help="output directory (created if absent)"
+        )
+        sub.add_argument(
+            "--set",
+            dest="overrides",
+            action="append",
+            default=[],
+            metavar="KEY=VALUE",
+            help="dotted-path configuration override, repeatable",
+        )
+        sub.add_argument("--seed", type=int, help="plant.disturbance.seed override")
+        sub.add_argument(
+            "--mode", choices=[m.value for m in RunMode], help="run mode override"
+        )
+        if name == "sweep":
+            sub.add_argument(
+                "--grid",
+                action="append",
+                default=[],
+                metavar="KEY=V1,V2,...",
+                help="grid axis over a config key, repeatable (Cartesian product)",
+            )
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -17,13 +17,7 @@ from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .controller import ControlObjective, PidGains, QpRange
-from .errors import (
-    ConfigInvariantError,
-    ConfigParseError,
-    InputDomainError,
-    MissingConfigFile,
-    UnknownConfigKey,
-)
+from .errors import ConfigError, InputDomainError
 from .harness import ExperimentConfig, RunMode
 from .plant import DisturbanceKind, DisturbanceSpec, PlantKind, PlantModel, TraceTable
 
@@ -32,14 +26,14 @@ def _parse_float(key: str, raw: str) -> float:
     try:
         return float(raw)
     except ValueError:
-        raise ConfigParseError(f"{key}: expected a number, got {raw!r}") from None
+        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
 
 
 def _parse_int(key: str, raw: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ConfigParseError(f"{key}: expected an integer, got {raw!r}") from None
+        raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
 
 
 def _parse_optional_float(key: str, raw: str) -> float | None:
@@ -57,7 +51,7 @@ def _parse_enum(enum: type[Enum]) -> Callable[[str, str], Enum]:
 
     def parse(key: str, raw: str) -> Enum:
         if raw not in choices:
-            raise ConfigParseError(
+            raise ConfigError(
                 f"{key}: expected one of {', '.join(choices)}; got {raw!r}"
             )
         return enum(raw)
@@ -112,13 +106,6 @@ SCHEMA: dict[str, Key] = {
     "plant.disturbance.seed": Key(_parse_int),
 }
 
-# Keys that a fixed-QP run's metrics never read: the run holds the anchor
-# QP, so no gain or frame kind reaches it, and the objective weight enters
-# only its records' error column.
-FIXED_QP_METRICS_UNREAD = frozenset(
-    {"objective.lambda", "gains.kp", "gains.ki", "gains.kd", "kind_pattern"}
-)
-
 
 def _attr(key: str) -> str:
     return SCHEMA[key].attr or key
@@ -126,16 +113,14 @@ def _attr(key: str) -> str:
 
 def _load_trace(trace_path: str | None) -> TraceTable:
     if trace_path is None:
-        raise ConfigInvariantError(f"{_TRACE_PATH}: required for a trace_driven plant")
+        raise ConfigError(f"{_TRACE_PATH}: required for a trace_driven plant")
     trace_file = Path(trace_path)
     if not trace_file.is_file():
-        raise ConfigInvariantError(
-            f"{_TRACE_PATH}: trace file not found: {trace_file}"
-        )
+        raise ConfigError(f"{_TRACE_PATH}: trace file not found: {trace_file}")
     try:
         return TraceTable.load(trace_file)
     except InputDomainError as exc:
-        raise ConfigInvariantError(f"{_TRACE_PATH}: {exc}") from exc
+        raise ConfigError(f"{_TRACE_PATH}: {exc}") from exc
 
 
 def _plant(trace_table: Callable[[str | None], TraceTable], **fields) -> PlantModel:
@@ -165,12 +150,12 @@ def _parse_lines(text: str, source: str) -> dict[str, object]:
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ConfigParseError(
+            raise ConfigError(
                 f"{source}:{lineno}: expected 'key = value', got {line.strip()!r}"
             )
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in SCHEMA:
-            raise UnknownConfigKey(f"{source}:{lineno}: unknown key {key!r}")
+            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         values[key] = SCHEMA[key].parse(key, raw)
     return values
 
@@ -187,7 +172,7 @@ def _build(
         try:
             built = build(**fields[section])
         except InputDomainError as exc:
-            raise ConfigInvariantError(f"{prefix}{exc}") from exc
+            raise ConfigError(f"{prefix}{exc}") from exc
         parent, _, name = section.rpartition(".")
         fields[parent][name] = built
     return built
@@ -204,8 +189,8 @@ def parse_configs(
     in order, and each point is a sequence of them applied after
     ``overrides``, on a copy of the file's values; error messages number
     the two as one list, ``override[i]``. Keys set nowhere take the
-    dataclass field's default. Missing file, malformed line, unknown key
-    and invariant violation each raise their own ConfigError subclass,
+    dataclass field's default. A missing or non-UTF-8 file, a malformed
+    line, an unknown key or an invariant violation raises ConfigError,
     naming the offending key, before any configuration is returned. Each
     distinct ``plant.trace_path`` is loaded once, and its table is shared
     by the configurations that name it; nothing is cached between calls.
@@ -214,8 +199,12 @@ def parse_configs(
     if path is not None:
         file_path = Path(path)
         if not file_path.is_file():
-            raise MissingConfigFile(f"config file not found: {file_path}")
-        kv.update(_parse_lines(file_path.read_text(), str(file_path)))
+            raise ConfigError(f"config file not found: {file_path}")
+        try:
+            text = file_path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{file_path}: not UTF-8 text: {exc}") from exc
+        kv.update(_parse_lines(text, str(file_path)))
 
     for i, line in enumerate(overrides):
         kv.update(_parse_lines(line, f"override[{i}]"))
@@ -240,8 +229,6 @@ def parse_config(
 def emit_config(config: ExperimentConfig) -> str:
     """Serialize a configuration so that parsing it back compares equal."""
     if config.plant.kind is PlantKind.TRACE_DRIVEN and config.plant.trace_path is None:
-        raise ConfigInvariantError(
-            f"{_TRACE_PATH}: required to serialize a trace_driven plant"
-        )
+        raise ConfigError(f"{_TRACE_PATH}: required to serialize a trace_driven plant")
     lines = [f"{key} = {_fmt(attrgetter(_attr(key))(config))}" for key in SCHEMA]
     return "\n".join(lines) + "\n"

@@ -18,20 +18,4 @@ class DegenerateInputError(ValueError):
 
 
 class ConfigError(Exception):
-    """Base class for configuration failures."""
-
-
-class MissingConfigFile(ConfigError):
-    """The configuration file does not exist."""
-
-
-class ConfigParseError(ConfigError):
-    """A configuration line or value could not be parsed."""
-
-
-class UnknownConfigKey(ConfigError):
-    """A configuration key is not part of the schema."""
-
-
-class ConfigInvariantError(ConfigError):
-    """Parsed configuration values violate a domain invariant."""
+    """Invalid configuration or command-line input; the message names the key."""

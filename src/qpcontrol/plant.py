@@ -153,6 +153,9 @@ class TraceTable:
     def __post_init__(self) -> None:
         # A frame's rows may come as any sequence; they are kept as a tuple.
         frozen = {frame: tuple(entries) for frame, entries in self.rows.items()}
+        for frame, entries in frozen.items():
+            if not entries:
+                raise InputDomainError(f"frame {frame} has no rows")
         object.__setattr__(self, "rows", frozen)
 
     @classmethod
@@ -192,7 +195,11 @@ class TraceTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "TraceTable":
-        return cls.parse(Path(path).read_text())
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputDomainError(f"not UTF-8 text: {exc}") from exc
+        return cls.parse(text)
 
     def lookup(self, frame_index: int, qp: int) -> tuple[float, float]:
         entries = self.rows.get(frame_index)
@@ -314,7 +321,10 @@ class _RateTable(dict):
         self.model = model
 
     def __missing__(self, qp: int) -> float:
-        bits = rate_model(self.model, qp)
+        try:
+            bits = rate_model(self.model, qp)
+        except OverflowError:  # a QP offset past the float range
+            bits = math.inf
         if not (math.isfinite(bits) and bits >= 0):
             raise InputDomainError(f"bits must be finite and >= 0, got {bits!r}")
         self[qp] = bits

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from qpcontrol import cli
-from qpcontrol.cli import main
+from qpcontrol.cli import build_parser, main
 from qpcontrol.config import parse_config
 from qpcontrol.harness import (
     MetricsReport,
@@ -289,10 +289,43 @@ class TestSweep:
 
     def test_empty_grid_is_a_usage_error(self, tmp_path, capsys):
         assert run_cli("sweep", "--out", tmp_path) == 2
-        assert "grid" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: sweep requires at least one --grid axis\n"
 
     def test_unknown_grid_key_is_a_usage_error(self, tmp_path):
         assert run_cli("sweep", "--out", tmp_path, "--grid", "nope=1,2") == 2
+
+    def test_a_repeated_grid_key_is_a_usage_error(self, tmp_path, capsys):
+        # two columns of one key would label rows with values the run never used
+        out = tmp_path / "out"
+        grid = ["--grid", "objective.lambda=0.5", "--grid", " objective.lambda=1,0.2"]
+        assert run_cli("sweep", "--out", out, *grid) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --grid: key 'objective.lambda' given twice\n"
+        assert not out.exists()
+
+    def test_fixed_qp_points_that_differ_only_in_unread_keys_share_one_run(
+        self, tmp_path, monkeypatch
+    ):
+        runs = counted_runs(monkeypatch)
+        out = tmp_path / "out"
+        grid = [
+            "--grid", "mode=controlled,fixed",
+            "--grid", "gains.kp=1,2.12",
+            "--grid", "kind_pattern=inter,intra_every:5",
+            "--grid", "objective.lambda=0.5,1",
+            "--grid", "qp_offset=30,34",
+        ]
+        assert run_cli("sweep", "--out", out, "--set", "n_frames=20", *grid) == 0
+        assert sorted(runs) == ["run_closed_loop"] * 16 + ["run_fixed_qp"] * 2
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        for row in rows:
+            mode, kp, pattern, lam, offset, *cells = row.split(",")
+            point = [f"mode={mode}", f"gains.kp={kp}", f"kind_pattern={pattern}"]
+            point += [f"objective.lambda={lam}", f"qp_offset={offset}", "n_frames=20"]
+            config = parse_config(None, point)
+            run = run_closed_loop if mode == "controlled" else run_fixed_qp
+            metrics = compute_metrics(run(config), config.objective)
+            assert cells == [f"{v:.6f}" for v in metrics]
 
     def _table(self, tmp_path):
         # 30 frames tabulating QPs 0, 10, ..., 50 and 51, PSNR falling in QP
@@ -595,9 +628,43 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_config_file_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        config = tmp_path / "latin.cfg"
+        config.write_bytes(b"\xff\xfen_frames = 20\n")
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", config, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: not UTF-8 text: ")
+        assert not out.exists()
+
+    def test_a_trace_table_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        trace = tmp_path / "latin.csv"
+        trace.write_bytes(TRACE_TEXT.encode() + b"2,30,37.0,\xff\n")
+        out = tmp_path / "out"
+        overrides = ["plant.kind=trace_driven", f"plant.trace_path={trace}", "n_frames=2"]
+        assert run_cli("simulate", "--out", out, *as_set(overrides)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: plant.trace_path: not UTF-8 text: ")
+        assert not out.exists()
+
     def test_missing_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main([])
+        assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "identify", "compare", "sweep"])
+def test_every_command_takes_the_shared_options_and_only_sweep_a_grid(command):
+    shared = ["--config", "c.cfg", "--out", "o", "--set", "n_frames=5", "--seed", "3"]
+    args = build_parser().parse_args([command, *shared, "--mode", "fixed"])
+    assert (args.config, args.out, args.overrides) == (Path("c.cfg"), Path("o"), ["n_frames=5"])
+    assert (args.seed, args.mode) == (3, "fixed")
+    grid = [command, "--grid", "gains.kp=1,2"]
+    if command == "sweep":
+        assert build_parser().parse_args(grid).grid == ["gains.kp=1,2"]
+    else:
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(grid)
         assert excinfo.value.code == 2
 
 

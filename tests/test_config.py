@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 
 from qpcontrol.config import SCHEMA, emit_config, parse_config, parse_configs
 from qpcontrol.controller import ControlObjective
-from qpcontrol.errors import (
-    ConfigInvariantError,
-    ConfigParseError,
-    MissingConfigFile,
-    UnknownConfigKey,
-)
+from qpcontrol.errors import ConfigError
 from qpcontrol.harness import ExperimentConfig, RunMode
 from qpcontrol.plant import DisturbanceKind, PlantKind, PlantModel
 
@@ -102,16 +97,16 @@ class TestOverridesAndFiles:
 
 class TestErrors:
     def test_missing_file(self, tmp_path):
-        with pytest.raises(MissingConfigFile):
+        with pytest.raises(ConfigError, match="config file not found"):
             parse_config(tmp_path / "absent.cfg")
 
     def test_unknown_key_is_rejected_not_ignored(self):
-        with pytest.raises(UnknownConfigKey) as excinfo:
+        with pytest.raises(ConfigError, match="unknown key 'gains.kq'") as excinfo:
             parse_config(None, ["gains.kq=1.0"])
         assert "gains.kq" in str(excinfo.value)
 
     def test_negative_gain_is_an_invariant_violation(self):
-        with pytest.raises(ConfigInvariantError) as excinfo:
+        with pytest.raises(ConfigError, match="gains.kp must be finite and >= 0") as excinfo:
             parse_config(None, ["gains.kp=-1"])
         assert "gains" in str(excinfo.value)
         assert "kp" in str(excinfo.value)
@@ -119,35 +114,35 @@ class TestErrors:
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("this is not an assignment\n")
-        with pytest.raises(ConfigParseError):
+        with pytest.raises(ConfigError, match="expected 'key = value'"):
             parse_config(path)
 
     def test_non_numeric_value(self):
-        with pytest.raises(ConfigParseError):
+        with pytest.raises(ConfigError, match="n_frames: expected an integer"):
             parse_config(None, ["n_frames=many"])
 
     def test_bad_enum_value(self):
-        with pytest.raises(ConfigParseError) as excinfo:
+        with pytest.raises(ConfigError, match="expected one of") as excinfo:
             parse_config(None, ["plant.kind=fourth_order"])
         assert "plant.kind" in str(excinfo.value)
 
     def test_bad_kind_pattern(self):
-        with pytest.raises(ConfigInvariantError):
+        with pytest.raises(ConfigError, match="kind_pattern 'sometimes' is unknown"):
             parse_config(None, ["kind_pattern=sometimes"])
 
     def test_lambda_out_of_range(self):
-        with pytest.raises(ConfigInvariantError):
+        with pytest.raises(ConfigError, match=r"objective\.lambda must be in \[0, 1\]"):
             parse_config(None, ["objective.lambda=2.0"])
 
     def test_trace_driven_requires_path(self):
-        with pytest.raises(ConfigInvariantError) as excinfo:
+        with pytest.raises(ConfigError, match="required for a trace_driven plant") as excinfo:
             parse_config(None, ["plant.kind=trace_driven"])
         assert "trace_path" in str(excinfo.value)
 
     def test_trace_shorter_than_the_run_is_an_invariant_violation(self, tmp_path):
         trace_path = tmp_path / "trace.csv"
         trace_path.write_text(TRACE_TEXT)
-        with pytest.raises(ConfigInvariantError) as excinfo:
+        with pytest.raises(ConfigError, match="runs past the trace table") as excinfo:
             parse_config(
                 None,
                 [
@@ -172,12 +167,12 @@ class TestErrors:
         assert sorted(config.plant.trace.rows) == [0, 1]
 
     def test_non_finite_initial_psnr(self):
-        with pytest.raises(ConfigInvariantError) as excinfo:
+        with pytest.raises(ConfigError, match="must be finite, got nan") as excinfo:
             parse_config(None, ["plant.initial_psnr=nan"])
         assert "initial_psnr" in str(excinfo.value)
 
     def test_trace_file_must_exist(self, tmp_path):
-        with pytest.raises(ConfigInvariantError):
+        with pytest.raises(ConfigError, match="plant.trace_path: trace file not found"):
             parse_config(
                 None,
                 [
@@ -206,7 +201,7 @@ class TestParseConfigs:
         assert first.plant.trace is second.plant.trace
 
     def test_a_point_error_counts_overrides_and_point_as_one_list(self):
-        with pytest.raises(UnknownConfigKey) as excinfo:
+        with pytest.raises(ConfigError, match="unknown key 'nope'") as excinfo:
             parse_configs(None, ["gains.kp=1"], [["gains.ki=0.2"], ["nope=1"]])
         assert "override[1]" in str(excinfo.value)
 

@@ -234,6 +234,10 @@ class TestTraceTable:
         with pytest.raises(TraceDomainError):
             table.lookup(3, 30)
 
+    def test_a_frame_without_rows_is_rejected(self):
+        with pytest.raises(InputDomainError, match="frame 0 has no rows"):
+            TraceTable({0: []})
+
     def test_header_required(self):
         with pytest.raises(InputDomainError):
             TraceTable.parse("frame,qp,psnr,bits\n0,30,38.0,100\n")

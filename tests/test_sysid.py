@@ -92,6 +92,12 @@ class TestRunImpulse:
             == run_impulse(clean, QP_RANGE, 32).response
         )
 
+    def test_a_rate_offset_past_the_float_range_is_a_domain_error(self):
+        # the QP offset from rate_ref_qp does not convert to a float
+        plant = PlantModel.first_order(0.5, rate_ref_qp=10**400)
+        with pytest.raises(InputDomainError, match="bits must be finite"):
+            run_impulse(plant, QP_RANGE, 64)
+
     def test_input_plant_is_not_mutated(self):
         plant = PlantModel.first_order(0.5, initial_psnr=42.0)
         run_impulse(plant, QP_RANGE, 16)
