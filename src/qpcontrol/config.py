@@ -17,9 +17,10 @@ from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .controller import ControlObjective, PidGains, QpRange
+from .disturbance import DisturbanceKind, DisturbanceSpec
 from .errors import ConfigError, InputDomainError
 from .harness import ExperimentConfig, RunMode
-from .plant import DisturbanceKind, DisturbanceSpec, PlantKind, PlantModel, TraceTable
+from .plant import PlantKind, PlantModel, TraceTable
 
 
 def _parse_float(key: str, raw: str) -> float:
@@ -227,8 +228,22 @@ def parse_config(
 
 
 def emit_config(config: ExperimentConfig) -> str:
-    """Serialize a configuration so that parsing it back compares equal."""
-    if config.plant.kind is PlantKind.TRACE_DRIVEN and config.plant.trace_path is None:
+    """Serialize a configuration so that parsing it back compares equal.
+
+    Raises ConfigError naming ``plant.trace_path`` when a trace-driven plant
+    has none, or when the path would not parse back as itself: it holds a
+    ``#`` or a line break, has leading or trailing whitespace, or is the
+    word ``none``.
+    """
+    trace_path = config.plant.trace_path
+    if config.plant.kind is PlantKind.TRACE_DRIVEN and trace_path is None:
         raise ConfigError(f"{_TRACE_PATH}: required to serialize a trace_driven plant")
+    if trace_path is not None and (
+        "#" in trace_path
+        or len(trace_path.splitlines()) > 1
+        or trace_path != trace_path.strip()
+        or trace_path == "none"
+    ):
+        raise ConfigError(f"{_TRACE_PATH}: {trace_path!r} would not parse back")
     lines = [f"{key} = {_fmt(attrgetter(_attr(key))(config))}" for key in SCHEMA]
     return "\n".join(lines) + "\n"

@@ -167,7 +167,7 @@ def _run(
     recorded and passed on to the next frame's ``next_qp``. The recorded
     ``o`` is the control variable that produced the frame's QP.
     """
-    step = plant_stepper(config.plant)
+    step = plant_stepper(config.plant, config.n_frames)
     lam = config.objective.lambda_
     keep = 1.0 - lam
     target = config.objective.target_psnr

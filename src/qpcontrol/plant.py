@@ -9,14 +9,19 @@ Three plant flavours map a per-frame QP to PSNR and bits:
 * trace-driven: per-frame PSNR/bits tables measured elsewhere, linearly
   interpolated between tabulated QPs.
 
-``w`` is a deterministic disturbance modelling content variation. Bits for
-the synthetic flavours follow the conventional halving-per-six-QP relation.
+``w`` is a deterministic disturbance modelling content variation, a
+``DisturbanceSpec`` from ``qpcontrol.disturbance`` (this module re-exports
+it and ``DisturbanceKind``). Bits for the synthetic flavours follow the
+conventional halving-per-six-QP relation.
 
 ``step_plant`` is the scalar reference: it steps a ``PlantModel`` one frame
-and keeps the previous output on the model. ``plant_stepper`` resolves a
-model once into a per-run closure with the same arithmetic in the same
-order; it keeps the previous output itself and never touches the model, so
-one model may back any number of concurrent runs.
+and keeps the previous output on the model. ``plant_stepper(model,
+n_frames)`` resolves a model once into a per-run closure with the same
+arithmetic in the same order, fed frames ``t`` in ``range(n_frames)``. It
+builds the run's whole disturbance column up front with
+``disturbance_column``, which equals ``disturbance_at`` frame by frame, bit
+for bit; it keeps the previous output itself and never touches the model,
+so one model may back any number of concurrent runs.
 """
 
 from __future__ import annotations
@@ -28,9 +33,13 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable
 
+from .disturbance import (  # DisturbanceKind is re-exported
+    DisturbanceKind,
+    DisturbanceSpec,
+    disturbance_at,
+    disturbance_column,
+)
 from .errors import InputDomainError, TraceDomainError
-
-_MASK64 = (1 << 64) - 1
 
 TRACE_HEADER = "frame,qp,psnr_db,bits"
 
@@ -39,89 +48,6 @@ class PlantKind(Enum):
     ZERO_ORDER = "zero_order"
     FIRST_ORDER = "first_order"
     TRACE_DRIVEN = "trace_driven"
-
-
-class DisturbanceKind(Enum):
-    NONE = "none"
-    CONSTANT = "constant"
-    STEP = "step"
-    SINUSOID = "sinusoid"
-    SEEDED_NOISE = "seeded_noise"
-
-
-@dataclass(frozen=True)
-class DisturbanceSpec:
-    """Deterministic per-frame PSNR perturbation.
-
-    ``amplitude`` is in dB. Sinusoids use ``period`` frames per cycle, steps
-    switch on at ``step_frame``, and seeded noise draws uniform values in
-    [-amplitude, amplitude] from a counter-based mix of (seed, frame), so
-    equal seeds give bitwise-identical sequences. The seed is mixed once,
-    when the spec is built.
-    """
-
-    kind: DisturbanceKind = DisturbanceKind.NONE
-    amplitude: float = 0.0
-    period: int = 0
-    step_frame: int = 0
-    seed: int = 0
-    seed_word: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.amplitude):
-            raise InputDomainError(f"amplitude must be finite, got {self.amplitude!r}")
-        if self.kind is DisturbanceKind.SINUSOID and self.period < 1:
-            raise InputDomainError(
-                f"period must be >= 1 for a sinusoid disturbance, got {self.period}"
-            )
-        object.__setattr__(self, "seed_word", _mix64(self.seed & _MASK64))
-
-
-def _mix64(x: int) -> int:
-    # splitmix64 finalizer: full-avalanche 64-bit mix
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
-
-
-def _no_disturbance(spec: DisturbanceSpec, t: int) -> float:
-    return 0.0
-
-
-def _constant(spec: DisturbanceSpec, t: int) -> float:
-    return spec.amplitude
-
-
-def _step(spec: DisturbanceSpec, t: int) -> float:
-    return spec.amplitude if t >= spec.step_frame else 0.0
-
-
-def _sinusoid(spec: DisturbanceSpec, t: int) -> float:
-    return spec.amplitude * math.sin(2.0 * math.pi * t / spec.period)
-
-
-def _seeded_noise(spec: DisturbanceSpec, t: int) -> float:
-    # uniform in [-amplitude, amplitude]
-    unit = _mix64(spec.seed_word ^ (t & _MASK64)) / float(1 << 64)  # [0, 1)
-    return spec.amplitude * (2.0 * unit - 1.0)
-
-
-# The only formula of each kind, shared by disturbance_at and the stepper.
-_DISTURBANCES: dict[DisturbanceKind, Callable[[DisturbanceSpec, int], float]] = {
-    DisturbanceKind.NONE: _no_disturbance,
-    DisturbanceKind.CONSTANT: _constant,
-    DisturbanceKind.STEP: _step,
-    DisturbanceKind.SINUSOID: _sinusoid,
-    DisturbanceKind.SEEDED_NOISE: _seeded_noise,
-}
-
-
-def disturbance_at(spec: DisturbanceSpec, frame_index: int) -> float:
-    """Disturbance value (dB) at a frame; pure in (spec, frame_index)."""
-    if frame_index < 0:
-        raise InputDomainError("frame_index must be nonnegative")
-    return _DISTURBANCES[spec.kind](spec, frame_index)
 
 
 @dataclass(frozen=True)
@@ -331,14 +257,19 @@ class _RateTable(dict):
         return bits
 
 
-def plant_stepper(model: PlantModel) -> Callable[[int, int], tuple[float, float]]:
+def plant_stepper(
+    model: PlantModel, n_frames: int
+) -> Callable[[int, int], tuple[float, float]]:
     """Resolve ``model`` once into ``step(qp, t) -> (psnr, bits)`` for one run.
 
-    Fed integer QPs at frames t = 0, 1, ..., the stepper returns bit for bit
-    what ``step_plant`` returns on a freshly reset model. It keeps the
-    previous PSNR itself, starting at ``initial_psnr``, and never mutates
-    or copies the model. A non-finite PSNR raises InputDomainError on the
-    frame that makes it.
+    Fed integer QPs at frames t = 0, 1, ..., n_frames - 1, and no other
+    frame, the stepper returns bit for bit what ``step_plant`` returns on a
+    freshly reset model. A synthetic plant's disturbance is built once, as
+    the run's ``disturbance_column``, and each step reads its frame's entry;
+    the column lives as long as the stepper. The stepper keeps the previous
+    PSNR itself, starting at ``initial_psnr``, and never mutates or copies
+    the model. A non-finite PSNR raises InputDomainError on the frame that
+    makes it.
     """
     isfinite = math.isfinite
     if model.kind is PlantKind.TRACE_DRIVEN:
@@ -352,8 +283,7 @@ def plant_stepper(model: PlantModel) -> Callable[[int, int], tuple[float, float]
 
         return step
 
-    spec = model.disturbance
-    w_at = _DISTURBANCES[spec.kind]
+    ws = disturbance_column(model.disturbance, n_frames)
     rates = _RateTable(model)
     intercept, slope = model.psnr_intercept, model.psnr_slope
     first_order = model.kind is PlantKind.FIRST_ORDER
@@ -364,9 +294,9 @@ def plant_stepper(model: PlantModel) -> Callable[[int, int], tuple[float, float]
         nonlocal prev
         core = intercept - slope * qp
         if prev is None:
-            psnr = core + w_at(spec, t)
+            psnr = core + ws[t]
         else:
-            psnr = alpha * prev + beta * core + w_at(spec, t)
+            psnr = alpha * prev + beta * core + ws[t]
         if not isfinite(psnr):
             raise InputDomainError(f"psnr must be finite, got {psnr!r}")
         if first_order:

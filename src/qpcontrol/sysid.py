@@ -19,9 +19,10 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .controller import QpRange
+from .disturbance import DisturbanceSpec
 from .errors import DegenerateInputError, InputDomainError
 from .harness import mean, mean_about_first, pstd
-from .plant import DisturbanceSpec, PlantModel, plant_stepper
+from .plant import PlantModel, plant_stepper
 
 #: Smallest |pole| treated as real memory rather than numerical residue.
 POLE_THRESHOLD = 0.05
@@ -70,7 +71,7 @@ def run_impulse(plant: PlantModel, qp_range: QpRange, n: int) -> ImpulseExperime
         raise InputDomainError(
             f"impulse run needs at least {MIN_RESPONSE_LENGTH} frames, got {n}"
         )
-    step = plant_stepper(replace(plant, disturbance=DisturbanceSpec()))
+    step = plant_stepper(replace(plant, disturbance=DisturbanceSpec()), n)
     qps = (qp_range.qp_min,) + (qp_range.qp_max,) * (n - 1)
     psnr = [step(qp, t)[0] for t, qp in enumerate(qps)]
     try:

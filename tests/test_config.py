@@ -10,7 +10,7 @@ from qpcontrol.config import SCHEMA, emit_config, parse_config, parse_configs
 from qpcontrol.controller import ControlObjective
 from qpcontrol.errors import ConfigError
 from qpcontrol.harness import ExperimentConfig, RunMode
-from qpcontrol.plant import DisturbanceKind, PlantKind, PlantModel
+from qpcontrol.plant import DisturbanceKind, PlantKind, PlantModel, TraceTable
 
 TRACE_TEXT = """frame,qp,psnr_db,bits
 0,30,38.000,500000
@@ -253,6 +253,17 @@ class TestRoundTrip:
             ],
         )
         assert parse_config_from_text(emit_config(config)) == config
+
+    @pytest.mark.parametrize(
+        "trace_path",
+        ["t/a#b.csv", " a.csv", "a.csv ", "a\nb.csv", "a\rb.csv", "a\x85b.csv", "none"],
+    )
+    def test_emit_refuses_a_trace_path_that_would_not_parse_back(self, trace_path):
+        trace = TraceTable.parse(TRACE_TEXT)
+        plant = PlantModel.trace_driven(trace, trace_path=trace_path)
+        config = ExperimentConfig(plant=plant, objective=ControlObjective(), n_frames=2)
+        with pytest.raises(ConfigError, match="plant.trace_path"):
+            emit_config(config)
 
 
 finite = st.floats(min_value=-1e3, max_value=1e3)

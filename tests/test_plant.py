@@ -6,18 +6,21 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qpcontrol.errors import InputDomainError, TraceDomainError
-from qpcontrol.plant import (
+from qpcontrol.disturbance import (
     DisturbanceKind,
     DisturbanceSpec,
+    disturbance_at,
+    disturbance_column,
+)
+from qpcontrol.errors import InputDomainError, TraceDomainError
+from qpcontrol.plant import (
     FrameOutcome,
     PlantKind,
     PlantModel,
     TraceTable,
-    disturbance_at,
     rate_model,
     step_plant,
 )
@@ -179,6 +182,55 @@ class TestDisturbance:
     def test_negative_frame_rejected(self):
         with pytest.raises(InputDomainError):
             disturbance_at(DisturbanceSpec(), -1)
+
+
+GOLDEN_GAMMA = 0x9E3779B97F4A7C15  # splitmix64's increment
+# seed_word ^ t + GOLDEN_GAMMA passes 2**64 on every frame of this seed, so
+# the lane-packed kernel must mask the carry before it shifts it down.
+CARRYING_SEED = 1
+
+
+@st.composite
+def columns(draw):
+    """A spec and a length, with ``step_frame`` before, inside and past the
+    column and ``period`` from 1 to past it."""
+    n = draw(st.integers(0, 5000))
+    spec = DisturbanceSpec(
+        kind=draw(st.sampled_from(DisturbanceKind)),
+        amplitude=draw(
+            st.sampled_from([0.0, -0.0, 1e308, -1e308]) | st.floats(-1e308, 1e308)
+        ),
+        period=draw(st.just(1) | st.integers(1, n + 10)),
+        step_frame=draw(
+            st.integers(-10, -1) | st.integers(0, n) | st.integers(n + 1, n + 10)
+        ),
+        seed=draw(st.integers(-(2**70), 2**70)),
+    )
+    return spec, n
+
+
+class TestDisturbanceColumn:
+    def test_the_carrying_seed_carries(self):
+        spec = DisturbanceSpec(kind=DisturbanceKind.SEEDED_NOISE, seed=CARRYING_SEED)
+        assert all((spec.seed_word ^ t) + GOLDEN_GAMMA >= 1 << 64 for t in range(5000))
+
+    @given(case=columns())
+    @example(
+        case=(
+            DisturbanceSpec(
+                kind=DisturbanceKind.SEEDED_NOISE, amplitude=1.0, seed=CARRYING_SEED
+            ),
+            5000,
+        )
+    )
+    def test_column_matches_disturbance_at_bit_for_bit(self, case):
+        spec, n = case
+        want = [disturbance_at(spec, t).hex() for t in range(n)]
+        assert [w.hex() for w in disturbance_column(spec, n)] == want
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(InputDomainError, match="n_frames must be nonnegative"):
+            disturbance_column(DisturbanceSpec(), -1)
 
 
 class TestValidation:

@@ -46,7 +46,7 @@ disturbances = st.builds(
     kind=st.sampled_from(DisturbanceKind),
     amplitude=st.floats(-5.0, 5.0),
     period=st.integers(1, 60),
-    step_frame=st.integers(0, MAX_FRAMES),
+    step_frame=st.integers(-3, MAX_FRAMES),
     seed=st.integers(-(2**70), 2**70),
 )
 
@@ -104,7 +104,7 @@ def test_stepper_matches_step_plant_bit_for_bit(plant, override, qps):
     reference = plant if override is None else dataclasses.replace(
         plant, disturbance=override
     )
-    step = plant_stepper(reference)
+    step = plant_stepper(reference, len(qps))
     want = [step_plant(reference, qp, t) for t, qp in enumerate(qps)]
     got = [step(qp, t) for t, qp in enumerate(qps)]
     assert bit_pattern(got) == bit_pattern((o.psnr, o.bits) for o in want)
@@ -319,7 +319,7 @@ OVERFLOWING = PlantModel.zero_order(
 @pytest.mark.parametrize(
     "run",
     [
-        lambda: plant_stepper(OVERFLOWING)(32, 0),
+        lambda: plant_stepper(OVERFLOWING, 1)(32, 0),
         lambda: run_closed_loop(
             ExperimentConfig(plant=OVERFLOWING, objective=ControlObjective(37.2))
         ),
@@ -339,7 +339,9 @@ def test_psnr_overflow_raises_on_the_frame(run):
 
 
 def test_non_finite_bits_raise_when_the_rate_entry_is_made():
-    step = plant_stepper(PlantModel.zero_order(rate_ref_bits=1e308, rate_ref_qp=40))
+    step = plant_stepper(
+        PlantModel.zero_order(rate_ref_bits=1e308, rate_ref_qp=40), 2
+    )
     assert step(40, 0)[1] == 1e308
     with pytest.raises(InputDomainError, match="bits must be finite"):
         step(0, 1)
