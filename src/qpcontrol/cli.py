@@ -1,8 +1,8 @@
 """Command-line front end: simulate | identify | compare | sweep.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 runtime error.
-All emitted files are reproducible byte-for-byte for a given configuration
-and seed.
+All emitted files are UTF-8 and reproducible byte-for-byte for a given
+configuration and seed, whatever the locale.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .errors import (
 from .harness import (
     MetricsReport,
     RunMode,
+    _write_text,
     comparison_text,
     compute_metrics,
     run_closed_loop,
@@ -48,6 +49,13 @@ def _flag_overrides(args: argparse.Namespace) -> list[str]:
 
 def _load_config(args: argparse.Namespace):
     return parse_config(args.config, [*args.overrides, *_flag_overrides(args)])
+
+
+def _check_out(out: Path) -> None:
+    """Fail before any run when ``--out`` cannot become a directory."""
+    existing = next((p for p in (out, *out.parents) if p.exists() or p.is_symlink()), out)
+    if not existing.is_dir():
+        raise ConfigError(f"--out {out}: {existing} is not a directory")
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -104,8 +112,8 @@ def _cmd_identify(args: argparse.Namespace) -> int:
         f"{t},{value:.6f}" for t, value in enumerate(experiment.response)
     ]
     out = _out_dir(args)
-    (out / "identify_report.txt").write_text(report)
-    (out / "impulse_response.csv").write_text("\n".join(response_lines) + "\n")
+    _write_text(report, out / "identify_report.txt")
+    _write_text("\n".join(response_lines) + "\n", out / "impulse_response.csv")
     print(report, end="")
     return 0
 
@@ -116,7 +124,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     baseline = compute_metrics(run_fixed_qp(config), config.objective)
     text = comparison_text(controlled, baseline)
     out = _out_dir(args)
-    (out / "comparison.txt").write_text(text)
+    _write_text(text, out / "comparison.txt")
     write_metrics_json(controlled, out / "metrics_controlled.json")
     write_metrics_json(baseline, out / "metrics_fixed.json")
     print(text, end="")
@@ -180,7 +188,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         cells = list(combo) + [f"{value:.6f}" for value in runs[run_key]]
         rows.append(",".join(cells))
     out = _out_dir(args)
-    (out / "sweep.csv").write_text("\n".join(rows) + "\n")
+    _write_text("\n".join(rows) + "\n", out / "sweep.csv")
     print(f"sweep: {len(points)} grid points over {', '.join(keys)}")
     return 0
 
@@ -233,6 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,11 +2,11 @@
 
 A ``DisturbanceSpec`` picks one of five kinds: none, constant, step,
 sinusoid or seeded noise. ``disturbance_at(spec, t)`` is the scalar
-reference, one frame at a time. ``disturbance_column(spec, n)`` builds
-frames ``0 .. n - 1`` in one call and equals the reference bit for bit.
-Its seeded noise runs the splitmix64 finalizer (Steele, Lea and Flood,
-"Fast Splittable Pseudorandom Number Generators", OOPSLA 2014) over every
-frame at once, with the frames packed into the lanes of one big int.
+reference, one frame at a time. ``disturbance_column(spec, n)`` equals it
+over frames ``0 .. n - 1`` bit for bit; it builds none, sinusoid and seeded
+noise in bulk, the last with the splitmix64 finalizer (Steele, Lea and
+Flood, "Fast Splittable Pseudorandom Number Generators", OOPSLA 2014) run
+over every frame at once, the frames packed into the lanes of one big int.
 """
 
 from __future__ import annotations
@@ -105,21 +105,12 @@ def disturbance_at(spec: DisturbanceSpec, frame_index: int) -> float:
     return _DISTURBANCES[spec.kind](spec, frame_index)
 
 
-# Bulk builders: each gives [_DISTURBANCES[kind](spec, t) for t in range(n)]
-# bit for bit, with the same arithmetic in the same order.
+# Bulk builders for the kinds whose runs they measurably speed up: each gives
+# [_DISTURBANCES[kind](spec, t) for t in range(n)] bit for bit.
 
 
 def _no_disturbance_column(spec: DisturbanceSpec, n: int) -> list[float]:
     return [0.0] * n
-
-
-def _constant_column(spec: DisturbanceSpec, n: int) -> list[float]:
-    return [spec.amplitude] * n
-
-
-def _step_column(spec: DisturbanceSpec, n: int) -> list[float]:
-    on = min(max(spec.step_frame, 0), n)
-    return [0.0] * on + [spec.amplitude] * (n - on)
 
 
 def _sinusoid_column(spec: DisturbanceSpec, n: int) -> list[float]:
@@ -163,17 +154,18 @@ def _seeded_noise_column(spec: DisturbanceSpec, n: int) -> list[float]:
 
 _COLUMNS: dict[DisturbanceKind, Callable[[DisturbanceSpec, int], list[float]]] = {
     DisturbanceKind.NONE: _no_disturbance_column,
-    DisturbanceKind.CONSTANT: _constant_column,
-    DisturbanceKind.STEP: _step_column,
     DisturbanceKind.SINUSOID: _sinusoid_column,
     DisturbanceKind.SEEDED_NOISE: _seeded_noise_column,
 }
 
 
 def disturbance_column(spec: DisturbanceSpec, n_frames: int) -> list[float]:
-    """``[disturbance_at(spec, t) for t in range(n_frames)]``, built in bulk."""
+    """``[disturbance_at(spec, t) for t in range(n_frames)]``, in bulk where it pays."""
     if n_frames < 0:
         raise InputDomainError("n_frames must be nonnegative")
-    return _COLUMNS[spec.kind](spec, n_frames)
+    if spec.kind in _COLUMNS:
+        return _COLUMNS[spec.kind](spec, n_frames)
+    formula = _DISTURBANCES[spec.kind]
+    return [formula(spec, t) for t in range(n_frames)]
 
 

@@ -30,6 +30,7 @@ from .errors import DegenerateInputError, InputDomainError
 from .plant import PlantKind, PlantModel, plant_stepper, rate_model
 
 TRACE_CSV_HEADER = "frame,qp,psnr_db,bits,error,o"
+_TRACE_CSV_ROW = "%d,%d,%.6f,%.6f,%.6f,%.6f\n"  # one FrameRecord
 
 
 class RunMode(Enum):
@@ -290,16 +291,16 @@ def fluctuation_reduction_pct(
 
 def trace_csv_text(records: Sequence[FrameRecord]) -> str:
     """Render a trace as CSV with 6-decimal fixed-point reals."""
-    lines = [TRACE_CSV_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.frame},{r.qp},{r.psnr:.6f},{r.bits:.6f},{r.error:.6f},{r.o:.6f}"
-        )
-    return "\n".join(lines) + "\n"
+    return "".join([TRACE_CSV_HEADER + "\n", *(_TRACE_CSV_ROW % r for r in records)])
+
+
+def _write_text(text: str, path: str | Path) -> None:
+    # UTF-8 whatever the locale; argument bytes that did not decode go back out.
+    Path(path).write_text(text, encoding="utf-8", errors="surrogateescape")
 
 
 def write_trace_csv(records: Sequence[FrameRecord], path: str | Path) -> None:
-    Path(path).write_text(trace_csv_text(records))
+    _write_text(trace_csv_text(records), path)
 
 
 def metrics_json_text(report: MetricsReport) -> str:
@@ -308,7 +309,7 @@ def metrics_json_text(report: MetricsReport) -> str:
 
 
 def write_metrics_json(report: MetricsReport, path: str | Path) -> None:
-    Path(path).write_text(metrics_json_text(report))
+    _write_text(metrics_json_text(report), path)
 
 
 def summary_line(mode: RunMode, n_frames: int, report: MetricsReport) -> str:

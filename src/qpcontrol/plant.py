@@ -96,14 +96,12 @@ class TraceTable:
         for lineno, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise InputDomainError(f"trace line {lineno}: expected 4 fields")
             try:
-                frame = int(parts[0])
-                qp = int(parts[1])
-                psnr = float(parts[2])
-                bits = float(parts[3])
+                frame, qp, psnr, bits = line.split(",")
+            except ValueError:
+                raise InputDomainError(f"trace line {lineno}: expected 4 fields") from None
+            try:
+                frame, qp, psnr, bits = int(frame), int(qp), float(psnr), float(bits)
             except ValueError as exc:
                 raise InputDomainError(f"trace line {lineno}: {exc}") from exc
             if not math.isfinite(psnr) or not math.isfinite(bits) or bits < 0:

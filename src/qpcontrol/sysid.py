@@ -34,9 +34,8 @@ MIN_RESPONSE_LENGTH = 8
 
 @dataclass(frozen=True)
 class ImpulseExperiment:
-    """Recorded QP impulse run: the input sequence and the error response."""
+    """Recorded QP impulse run: the error response to the impulse."""
 
-    qp_sequence: tuple[int, ...]
     response: tuple[float, ...]
 
 
@@ -81,7 +80,7 @@ def run_impulse(plant: PlantModel, qp_range: QpRange, n: int) -> ImpulseExperime
             "the impulse run's settled psnr sums past the float range"
         ) from None
     response = tuple(value - settled for value in psnr)
-    return ImpulseExperiment(qp_sequence=qps, response=response)
+    return ImpulseExperiment(response=response)
 
 
 def estimate_order(response: Sequence[float]) -> OrderEstimate:

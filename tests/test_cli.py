@@ -69,12 +69,12 @@ def impulse_trace(path, psnrs):
 def counted_runs(monkeypatch):
     """Record the name of each run function the CLI calls."""
     runs = []
-    for name in ("run_closed_loop", "run_fixed_qp"):
+    for name in ("run_closed_loop", "run_fixed_qp", "run_impulse"):
         run = getattr(cli, name)
 
-        def counted(config, name=name, run=run):
+        def counted(*args, name=name, run=run):
             runs.append(name)
-            return run(config)
+            return run(*args)
 
         monkeypatch.setattr(cli, name, counted)
     return runs
@@ -628,6 +628,23 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("out", ["afile", "afile/sub", "link", "link/sub"])
+    @pytest.mark.parametrize("command", ["simulate", "identify", "compare", "sweep"])
+    def test_an_out_that_is_not_a_directory_exits_two_before_any_run(
+        self, tmp_path, capsys, monkeypatch, command, out
+    ):
+        runs = counted_runs(monkeypatch)
+        (tmp_path / "afile").write_text("kept\n")
+        (tmp_path / "link").symlink_to("nowhere")
+        before = sorted(tmp_path.iterdir())
+        grid = ["--grid", "objective.lambda=0,1"] if command == "sweep" else []
+        out = tmp_path / out
+        assert run_cli(command, "--out", out, "--set", "n_frames=20", *grid) == 2
+        assert capsys.readouterr().err.startswith(f"error: --out {out}: ")
+        assert runs == []
+        assert sorted(tmp_path.iterdir()) == before
+        assert (tmp_path / "afile").read_text() == "kept\n"
+
     def test_a_config_file_that_is_not_utf8_exits_two(self, tmp_path, capsys):
         config = tmp_path / "latin.cfg"
         config.write_bytes(b"\xff\xfen_frames = 20\n")
@@ -679,3 +696,37 @@ def test_importing_the_cli_loads_no_numpy():
         check=True,
     ).stdout
     assert out.strip() == "False"
+
+
+def test_emitted_bytes_do_not_depend_on_the_locale(tmp_path):
+    # Paths and arguments go as bytes, so the test also runs where the
+    # suite itself runs under an ASCII locale.
+    src = Path(__file__).resolve().parent.parent / "src"
+    rows = "".join(f"{t},0,50.0,1000\n{t},51,30.0,100\n" for t in range(20))
+    for name in (b"plain.csv", "t\u00e9.csv".encode()):
+        path = os.path.join(os.fsencode(tmp_path), name)
+        with open(path, "w", encoding="utf-8") as table:
+            table.write("frame,qp,psnr_db,bits\n" + rows)
+    emitted = []
+    for locale in ("C", "C.UTF-8"):
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(src),
+            "LC_ALL": locale,
+            "PYTHONUTF8": "0",
+            "PYTHONCOERCECLOCALE": "0",
+        }
+        subprocess.run(
+            [
+                sys.executable, "-m", "qpcontrol.cli", "sweep", "--out", locale,
+                "--set", "plant.kind=trace_driven", "--set", "n_frames=20",
+                "--grid", "plant.trace_path=plain.csv,t\u00e9.csv".encode(),
+            ],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            check=True,
+        )
+        emitted.append((tmp_path / locale / "sweep.csv").read_bytes())
+    assert emitted[0] == emitted[1]
+    assert emitted[0].splitlines()[2].startswith("t\u00e9.csv,".encode())

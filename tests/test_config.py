@@ -39,7 +39,7 @@ class TestDefaults:
     def test_readme_table_lists_every_key_with_its_default(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"
         listed = {}
-        for line in readme.read_text().splitlines():
+        for line in readme.read_text(encoding="utf-8").splitlines():
             cells = [cell.strip() for cell in line.strip("|").split("|")]
             if not line.startswith("| `") or len(cells) != 3:
                 continue

@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qpcontrol.config import parse_config
@@ -395,6 +395,32 @@ class TestFileFormats:
         assert first[1] == "32"
         # 6-decimal fixed point reals
         assert all("." in cell and len(cell.split(".")[1]) == 6 for cell in first[2:])
+
+    @given(
+        st.lists(
+            st.builds(
+                FrameRecord,
+                st.integers(),
+                st.integers(),
+                *[st.floats(allow_nan=False, allow_infinity=False)] * 4,
+            ),
+            max_size=20,
+        )
+    )
+    @example([])
+    @example(
+        [
+            FrameRecord(-3, -1, 0.0, -0.0, 5e-324, -5e-324),
+            FrameRecord(0, 51, 1.7976931348623157e308, -1e308, 5e-7, -5e-7),
+            FrameRecord(2**70, 0, 2.5e-6, 1.5e-6, 0.0000015, 1e-300),
+        ]
+    )
+    def test_rows_match_the_f_string_rendering(self, records):
+        rows = [
+            f"{r.frame},{r.qp},{r.psnr:.6f},{r.bits:.6f},{r.error:.6f},{r.o:.6f}"
+            for r in records
+        ]
+        assert trace_csv_text(records) == "\n".join([TRACE_CSV_HEADER, *rows]) + "\n"
 
     def test_metrics_json_has_exactly_the_six_fields(self):
         metrics = compute_metrics(

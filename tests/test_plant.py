@@ -300,8 +300,10 @@ class TestTraceTable:
             TraceTable.parse(bad)
 
     def test_field_count_enforced(self):
-        with pytest.raises(InputDomainError):
-            TraceTable.parse("frame,qp,psnr_db,bits\n0,30,38.0\n")
+        for row in ("0,30,38.0", "0,30,38.0,500000.0,1"):
+            with pytest.raises(InputDomainError) as info:
+                TraceTable.parse(f"frame,qp,psnr_db,bits\n{row}\n")
+            assert str(info.value) == "trace line 2: expected 4 fields"
 
     def test_table_is_frozen_with_tuple_rows(self):
         table = TraceTable.parse(TRACE_TEXT)

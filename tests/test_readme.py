@@ -13,7 +13,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 def fenced_block(heading: str, language: str) -> str:
     """The first ``language`` code block under the ``## heading`` section."""
-    text = README.read_text()
+    text = README.read_text(encoding="utf-8")
     section = text[text.index(f"\n## {heading}\n") :]
     start = section.index(f"```{language}\n") + len(f"```{language}\n")
     return section[start : section.index("```", start)]

@@ -53,11 +53,16 @@ def impulse_responses(draw):
 
 
 class TestRunImpulse:
-    def test_qp_sequence_shape(self):
-        experiment = run_impulse(PlantModel.zero_order(), QP_RANGE, 16)
-        assert experiment.qp_sequence[0] == 0
-        assert set(experiment.qp_sequence[1:]) == {51}
-        assert len(experiment.response) == 16
+    def test_schedule_is_qp_min_then_qp_max(self):
+        # A zero-order plant settles at once, so the response reads the
+        # schedule back: qp_min at frame 0, qp_max on every later frame.
+        plant = PlantModel.zero_order()
+
+        def core(qp):
+            return plant.psnr_intercept - plant.psnr_slope * qp
+
+        response = run_impulse(plant, QP_RANGE, 16).response
+        assert response == (core(0) - core(51),) + (0.0,) * 15
 
     def test_minimum_length_boundary(self):
         run_impulse(PlantModel.zero_order(), QP_RANGE, 8)
