@@ -15,13 +15,7 @@ from pathlib import Path
 
 from .config import SCHEMA, emit_config, parse_config, parse_configs
 from .controller import PidGains
-from .errors import (
-    ConfigError,
-    DegenerateInputError,
-    InputDomainError,
-    SequencingError,
-    TraceDomainError,
-)
+from .errors import ConfigError, InputDomainError, TraceDomainError
 from .harness import (
     MetricsReport,
     RunMode,
@@ -92,6 +86,12 @@ def _cmd_identify(args: argparse.Namespace) -> int:
             f"the impulse needs at least {MIN_RESPONSE_LENGTH} frames"
         )
     qp_range, plant = config.qp_range, config.plant
+    if qp_range.qp_min >= qp_range.qp_max:
+        raise ConfigError(
+            f"range.qp_min={qp_range.qp_min} must be below "
+            f"range.qp_max={qp_range.qp_max} for identify: the impulse steps "
+            f"from one to the other"
+        )
     try:
         experiment = run_impulse(plant, qp_range, config.n_frames)
     except TraceDomainError as exc:
@@ -246,13 +246,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        InputDomainError,
-        DegenerateInputError,
-        TraceDomainError,
-        SequencingError,
-        OSError,
-    ) as exc:
+    except (InputDomainError, TraceDomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

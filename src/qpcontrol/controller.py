@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-from .errors import InputDomainError, SequencingError
+from .errors import InputDomainError
 
 class FrameKind(Enum):
     """Coding type of a frame, selecting which QP policy applies."""
@@ -196,13 +196,13 @@ def policy_qp(
     winds them up and has to unwind before the QP re-enters the range (no
     anti-windup freezing).
 
-    Raises SequencingError when called twice for the same frame index; each
+    Raises InputDomainError when called twice for the same frame index; each
     call must be preceded by one ``pid_step``.
     """
     if not math.isfinite(o):
         raise InputDomainError(f"o must be finite, got {o!r}")
     if not state.o_pending:
-        raise SequencingError(
+        raise InputDomainError(
             f"no pending control variable at frame {state.frame_index}; "
             "pid_step must run once before each policy call"
         )

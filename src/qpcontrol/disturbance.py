@@ -51,10 +51,17 @@ class DisturbanceSpec:
     def __post_init__(self) -> None:
         if not math.isfinite(self.amplitude):
             raise InputDomainError(f"amplitude must be finite, got {self.amplitude!r}")
-        if self.kind is DisturbanceKind.SINUSOID and self.period < 1:
-            raise InputDomainError(
-                f"period must be >= 1 for a sinusoid disturbance, got {self.period}"
-            )
+        if self.kind is DisturbanceKind.SINUSOID:
+            if self.period < 1:
+                raise InputDomainError(
+                    f"period must be >= 1 for a sinusoid disturbance, got {self.period}"
+                )
+            try:
+                float(self.period)  # each frame's phase divides by it
+            except OverflowError:
+                raise InputDomainError(
+                    f"period must convert to a float, got {self.period}"
+                ) from None
         object.__setattr__(self, "seed_word", _mix64(self.seed & _MASK64))
 
 

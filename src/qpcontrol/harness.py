@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -26,7 +27,7 @@ from .controller import (
     clamp_round_qp,
     controller_stepper,
 )
-from .errors import DegenerateInputError, InputDomainError
+from .errors import InputDomainError
 from .plant import PlantKind, PlantModel, plant_stepper, rate_model
 
 TRACE_CSV_HEADER = "frame,qp,psnr_db,bits,error,o"
@@ -82,8 +83,10 @@ class ExperimentConfig:
     mode: RunMode = RunMode.CONTROLLED
 
     def __post_init__(self) -> None:
-        if self.n_frames < 1:
-            raise InputDomainError(f"n_frames must be >= 1, got {self.n_frames}")
+        if not 1 <= self.n_frames <= sys.maxsize:  # no list holds more frames
+            raise InputDomainError(
+                f"n_frames must be in [1, {sys.maxsize}], got {self.n_frames}"
+            )
         if not math.isfinite(self.qp_offset):
             raise InputDomainError("qp_offset must be finite")
         parse_kind_pattern(self.kind_pattern)  # validate eagerly
@@ -99,27 +102,22 @@ class ExperimentConfig:
                 )
             return
         # Bits fall as QP rises, so the bits at qp_min bound every frame and,
-        # times n_frames, the total compute_metrics sums. The QP offset must
-        # also convert to a float at qp_max, where rate_model would raise.
+        # times n_frames, the total compute_metrics sums. At qp_max the rate
+        # model is inf only when the QP offset itself leaves the float range.
         plant, qp_min, qp_max = self.plant, self.qp_range.qp_min, self.qp_range.qp_max
-        try:
-            float(qp_max - plant.rate_ref_qp)
-        except OverflowError:
-            raise InputDomainError(
-                f"range.qp_max={qp_max} lies past the float range from "
-                f"plant.rate_ref_qp={plant.rate_ref_qp}, so the rate model "
-                f"cannot scale plant.rate_ref_bits={plant.rate_ref_bits!r} there"
-            ) from None
-        try:
-            most = rate_model(plant, qp_min)
-        except OverflowError:
-            most = math.inf
+        most = rate_model(plant, qp_min)
         if not math.isfinite(most * self.n_frames):
             raise InputDomainError(
                 f"plant.rate_ref_bits={plant.rate_ref_bits!r} with "
                 f"plant.rate_ref_qp={plant.rate_ref_qp} gives {most!r} bits per "
                 f"frame at range.qp_min={qp_min}; n_frames={self.n_frames} such "
                 f"frames must sum within the float range"
+            )
+        if not math.isfinite(rate_model(plant, qp_max)):
+            raise InputDomainError(
+                f"range.qp_max={qp_max} lies past the float range from "
+                f"plant.rate_ref_qp={plant.rate_ref_qp}, so the rate model "
+                f"cannot scale plant.rate_ref_bits={plant.rate_ref_bits!r} there"
             )
 
 
@@ -251,7 +249,7 @@ def compute_metrics(
 ) -> MetricsReport:
     """Summarize a trace into the six report metrics, all finite."""
     if not records:
-        raise DegenerateInputError("cannot compute metrics over an empty trace")
+        raise InputDomainError("cannot compute metrics over an empty trace")
     avg_psnr, quality_fluc_db = _mean_pstd("psnr", [r.psnr for r in records])
     bitrate_mean, bit_fluc = _mean_pstd("bits", [r.bits for r in records])
     control_error_db = abs(avg_psnr - objective.target_psnr)

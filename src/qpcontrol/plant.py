@@ -205,8 +205,14 @@ class PlantModel:
 
 
 def rate_model(model: PlantModel, qp: int) -> float:
-    """Bits per frame at a QP: reference bits halved for every +6 QP."""
-    return model.rate_ref_bits * 2.0 ** (-(qp - model.rate_ref_qp) / 6.0)
+    """Bits per frame at a QP: reference bits halved for every +6 QP.
+
+    ``inf`` where the QP offset from ``rate_ref_qp``, or the power of two
+    it gives, leaves the float range."""
+    try:
+        return model.rate_ref_bits * 2.0 ** (-(qp - model.rate_ref_qp) / 6.0)
+    except OverflowError:
+        return math.inf
 
 
 def step_plant(model: PlantModel, qp: int, frame_index: int) -> FrameOutcome:
@@ -245,10 +251,7 @@ class _RateTable(dict):
         self.model = model
 
     def __missing__(self, qp: int) -> float:
-        try:
-            bits = rate_model(self.model, qp)
-        except OverflowError:  # a QP offset past the float range
-            bits = math.inf
+        bits = rate_model(self.model, qp)
         if not (math.isfinite(bits) and bits >= 0):
             raise InputDomainError(f"bits must be finite and >= 0, got {bits!r}")
         self[qp] = bits

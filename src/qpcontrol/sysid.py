@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .controller import QpRange
 from .disturbance import DisturbanceSpec
-from .errors import DegenerateInputError, InputDomainError
+from .errors import InputDomainError
 from .harness import mean, mean_about_first, pstd
 from .plant import PlantModel, plant_stepper
 
@@ -46,16 +46,6 @@ class OrderEstimate:
     order: int
     pole: float | None
     fit_residual: float
-
-    def __post_init__(self) -> None:
-        if self.order not in (0, 1):
-            raise InputDomainError(f"order must be 0 or 1, got {self.order}")
-        if self.order == 0 and self.pole is not None:
-            raise InputDomainError("order-0 estimates carry no pole")
-        if self.order == 1 and (self.pole is None or not -1.0 < self.pole < 1.0):
-            raise InputDomainError(f"order-1 pole must lie in (-1, 1), got {self.pole!r}")
-        if not (math.isfinite(self.fit_residual) and self.fit_residual >= 0):
-            raise InputDomainError("fit_residual must be finite and >= 0")
 
 
 def run_impulse(plant: PlantModel, qp_range: QpRange, n: int) -> ImpulseExperiment:
@@ -98,9 +88,9 @@ def estimate_order(response: Sequence[float]) -> OrderEstimate:
     residual is normalized by the peak de-trended magnitude; the window,
     the fit and both gates are invariant under scaling of the response.
 
-    Raises DegenerateInputError when the response carries no transient
-    (all-zero or constant) or when the fit lands outside the stable
-    order-<=1 model family.
+    Raises InputDomainError when the response is not at least
+    ``MIN_RESPONSE_LENGTH`` finite numbers, carries no transient (all-zero
+    or constant), or gives a fit outside the stable order-<=1 family.
     """
     try:
         arr = [float(value) for value in response]
@@ -114,7 +104,7 @@ def estimate_order(response: Sequence[float]) -> OrderEstimate:
         raise InputDomainError("response must be finite")
     scale, exponent = math.frexp(max(map(abs, arr)))
     if scale == 0.0:
-        raise DegenerateInputError("all-zero response: order undefined")
+        raise InputDomainError("all-zero response: order undefined")
     # The fit is invariant under power-of-two scaling, so bringing the
     # largest sample into [0.5, 1) changes no result and keeps every sum
     # and product below within the float range.
@@ -126,7 +116,7 @@ def estimate_order(response: Sequence[float]) -> OrderEstimate:
     detrended = [value - settled for value in arr]
     peak = max(map(abs, detrended))
     if peak <= 1e-12 * scale:
-        raise DegenerateInputError("constant response: order undefined")
+        raise InputDomainError("constant response: order undefined")
 
     # Transient window: everything before the response first enters the
     # settled tail's noise band (floored so an exactly-zero tail still
@@ -141,7 +131,7 @@ def estimate_order(response: Sequence[float]) -> OrderEstimate:
     y = detrended[1:window]
     denom = math.fsum(a * a for a in x)
     if denom == 0.0:
-        raise DegenerateInputError("transient has no energy: order undefined")
+        raise InputDomainError("transient has no energy: order undefined")
     r = math.fsum(a * b for a, b in zip(x, y)) / denom
     residual = math.sqrt(mean([(b - r * a) ** 2 for a, b in zip(x, y)])) / peak
 
@@ -151,7 +141,7 @@ def estimate_order(response: Sequence[float]) -> OrderEstimate:
     effective_threshold = max(POLE_THRESHOLD, noise_band / peak)
     if abs(r) >= effective_threshold and residual <= RESIDUAL_THRESHOLD:
         if abs(r) >= 1.0:
-            raise DegenerateInputError(
+            raise InputDomainError(
                 f"fitted pole {r:.4f} outside the stable order-<=1 family"
             )
         return OrderEstimate(order=1, pole=r, fit_residual=residual)

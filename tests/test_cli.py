@@ -4,20 +4,24 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qpcontrol import cli
 from qpcontrol.cli import build_parser, main
-from qpcontrol.config import parse_config
+from qpcontrol.config import SCHEMA, parse_config
 from qpcontrol.harness import (
     MetricsReport,
+    RunMode,
     compute_metrics,
     run_closed_loop,
     run_fixed_qp,
 )
-from qpcontrol.plant import TraceTable
+from qpcontrol.plant import DisturbanceKind, PlantKind, TraceTable
 
 TRACE_TEXT = """frame,qp,psnr_db,bits
 0,30,38.000,500000
@@ -181,6 +185,20 @@ class TestIdentify:
             "error: n_frames=4 is too short for identify: "
             "the impulse needs at least 8 frames"
         ) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("qp_min", [30, 51])
+    def test_an_empty_impulse_exits_two_naming_both_keys_before_the_run(
+        self, tmp_path, capsys, monkeypatch, qp_min
+    ):
+        runs = counted_runs(monkeypatch)
+        out = tmp_path / "out"
+        overrides = [f"range.qp_min={qp_min}", f"range.qp_max={qp_min}"]
+        assert run_cli("identify", "--out", out, *as_set(overrides)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: range.qp_min={qp_min} must be below ")
+        assert f"range.qp_max={qp_min}" in err
+        assert runs == []
         assert not out.exists()
 
     def test_a_settled_level_past_the_float_range_exits_three(self, tmp_path, capsys):
@@ -584,6 +602,28 @@ class TestExitCodes:
         assert f"range.qp_max={10**400}" in err and "range.qp_min" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["simulate", "compare", "identify"])
+    @pytest.mark.parametrize(
+        "key, overrides",
+        [
+            ("n_frames", [f"n_frames={sys.maxsize + 1}"]),
+            ("n_frames", [f"n_frames={10**400}"]),
+            (
+                "plant.disturbance.period",
+                ["plant.disturbance.kind=sinusoid", f"plant.disturbance.period={10**400}"],
+            ),
+        ],
+        ids=["frames_past_maxsize", "frames_past_the_float_range", "period_past_the_float_range"],
+    )
+    def test_an_integer_no_run_can_use_exits_two_at_load(
+        self, tmp_path, capsys, monkeypatch, command, key, overrides
+    ):
+        runs = counted_runs(monkeypatch)
+        assert run_cli(command, "--out", tmp_path, *as_set(overrides)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} must ")
+        assert runs == []
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "overrides, field",
         [
@@ -618,7 +658,8 @@ class TestExitCodes:
             ("simulate", ["--set", "objective.target_psnr=1e-307", "--mode", "fixed"]),
             ("compare", ["--set", "objective.target_psnr=1e-307"]),
             ("sweep", ["--set", "objective.target_psnr=1e-307", "--grid", "mode=fixed"]),
-            ("identify", ["--set", "range.qp_min=51"]),
+            # PSNR falls by less than an ulp over the impulse: an all-zero response
+            ("identify", ["--set", "plant.psnr_slope=5e-324"]),
         ],
     )
     def test_a_failed_run_creates_no_out_directory(
@@ -730,3 +771,39 @@ def test_emitted_bytes_do_not_depend_on_the_locale(tmp_path):
         emitted.append((tmp_path / locale / "sweep.csv").read_bytes())
     assert emitted[0] == emitted[1]
     assert emitted[0].splitlines()[2].startswith("t\u00e9.csv,".encode())
+
+
+HOSTILE_VALUES = [
+    "0", "-1", "1e308", "1e309", "nan", "inf", str(10**400), str(-10**400),
+    "none", "", "word",
+    *(member.value for enum in (RunMode, PlantKind, DisturbanceKind) for member in enum),
+]
+
+
+@st.composite
+def hostile_overrides(draw):
+    key = draw(st.sampled_from(list(SCHEMA)))
+    values = st.sampled_from(HOSTILE_VALUES)
+    if key == "n_frames":
+        # A count that a list can hold would allocate the whole run.
+        counts = st.integers(-2, 64) | st.integers(sys.maxsize + 1, 10**400)
+        values |= counts.map(str)
+    return f"{key}={draw(values)}"
+
+
+@settings(deadline=None)
+@given(override=hostile_overrides())
+@example(override=f"n_frames={10**400}")
+@example(override=f"plant.disturbance.period={10**400}")
+def test_any_one_hostile_value_exits_zero_two_or_three(override):
+    overrides = [
+        "n_frames=40",
+        "plant.disturbance.kind=sinusoid",
+        "plant.disturbance.amplitude=1.0",
+        "plant.disturbance.period=30",
+        override,
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        for command in ("simulate", "compare", "identify"):
+            code = run_cli(command, "--out", Path(tmp) / command, *as_set(overrides))
+            assert code in (0, 2, 3), (command, override)

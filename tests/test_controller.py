@@ -17,7 +17,7 @@ from qpcontrol.controller import (
     pid_step,
     policy_qp,
 )
-from qpcontrol.errors import InputDomainError, SequencingError
+from qpcontrol.errors import InputDomainError
 
 WIDE = QpRange(qp_min=-(10 ** 6), qp_max=10 ** 6)
 
@@ -233,11 +233,11 @@ class TestPolicyQp:
         state = ControllerState(qp_offset=32.0)
         o = pid_step(1.0, state, PidGains(kp=1.0, ki=0.0, kd=0.0))
         policy_qp(o, FrameKind.INTER, state, QpRange())
-        with pytest.raises(SequencingError):
+        with pytest.raises(InputDomainError, match="no pending control variable"):
             policy_qp(o, FrameKind.INTER, state, QpRange())
 
     def test_policy_without_pid_step_is_a_sequencing_error(self):
-        with pytest.raises(SequencingError):
+        with pytest.raises(InputDomainError, match="no pending control variable"):
             policy_qp(1.0, FrameKind.INTER, ControllerState(), QpRange())
 
     def test_accumulators_advance_once_per_frame_for_both_kinds(self):

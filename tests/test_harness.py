@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qpcontrol.config import parse_config
 from qpcontrol.controller import ControlObjective, FrameKind
-from qpcontrol.errors import DegenerateInputError, InputDomainError
+from qpcontrol.errors import InputDomainError
 from qpcontrol.harness import (
     ExperimentConfig,
     FrameRecord,
@@ -281,7 +281,7 @@ class TestMetrics:
         assert metrics.quality_fluc_db == 0.0
 
     def test_empty_trace_is_degenerate(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(InputDomainError, match="empty trace"):
             compute_metrics([], ControlObjective(target_psnr=30.0))
 
     @given(

@@ -131,6 +131,16 @@ class TestRateModel:
         plant = PlantModel.zero_order(rate_ref_bits=350000.0, rate_ref_qp=32)
         assert rate_model(plant, 26) == 700000.0
 
+    @pytest.mark.parametrize(
+        "rate_ref_qp, qp",
+        [(10**400, 0), (0, 10**400), (10000, 0)],
+        ids=["offset_below", "offset_above", "scale_overflows"],
+    )
+    def test_past_the_float_range_is_inf(self, rate_ref_qp, qp):
+        # the QP offset does not convert to a float, or 2**offset overflows
+        plant = PlantModel.zero_order(rate_ref_qp=rate_ref_qp)
+        assert rate_model(plant, qp) == math.inf
+
 
 class TestDisturbance:
     def test_none_is_zero_everywhere(self):

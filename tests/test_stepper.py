@@ -347,6 +347,19 @@ def test_non_finite_bits_raise_when_the_rate_entry_is_made():
         step(0, 1)
 
 
+@pytest.mark.parametrize(
+    "rate_ref_qp", [10**400, 10000], ids=["offset_past_the_float_range", "scale_overflows"]
+)
+def test_step_plant_rejects_inf_bits_as_the_stepper_does(rate_ref_qp):
+    plant = PlantModel(rate_ref_qp=rate_ref_qp)
+    message = "bits must be finite and >= 0, got inf"
+    with pytest.raises(InputDomainError) as reference:
+        step_plant(plant, 0, 0)
+    with pytest.raises(InputDomainError) as stepper:
+        plant_stepper(plant, 1)(0, 0)
+    assert str(reference.value) == str(stepper.value) == message
+
+
 def test_one_config_runs_on_many_threads_at_once():
     config = ExperimentConfig(
         plant=PlantModel.first_order(

@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qpcontrol.controller import QpRange
-from qpcontrol.errors import DegenerateInputError, InputDomainError
+from qpcontrol.errors import InputDomainError
 from qpcontrol.plant import (
     DisturbanceKind,
     DisturbanceSpec,
@@ -126,16 +126,16 @@ class TestEstimateOrder:
             estimate_order([1.0, 0.5, 0.25, 0.125, 0.0, 0.0, 0.0])
 
     def test_all_zero_response_is_degenerate(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(InputDomainError, match="all-zero response"):
             estimate_order([0.0] * 32)
 
     def test_constant_response_is_degenerate(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(InputDomainError, match="constant response"):
             estimate_order([3.5] * 32)
 
     def test_non_decaying_transient_is_outside_the_model_family(self):
         # flat then growing: the transient fit lands on |pole| >= 1
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(InputDomainError, match="outside the stable"):
             estimate_order([0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 4.0, 8.0])
 
     def test_a_pole_above_the_threshold_is_order_one(self):
@@ -145,6 +145,34 @@ class TestEstimateOrder:
     def test_a_pole_below_the_threshold_is_order_zero(self):
         assert POLE_THRESHOLD > 0.04
         assert estimate_order([0.04 ** t for t in range(32)]).order == 0
+
+    # Each response below is one transient sample d[1] after d[0] = 1, then a
+    # settled tail of zeros, so the fit pairs (1, d[1]) and (d[1], 0): its
+    # pole is d[1] / (1 + d[1]**2) and its residual d[1]**2 / sqrt(2 * (1 +
+    # d[1]**2)), which sit just either side of each threshold.
+
+    @pytest.mark.parametrize("d1, order", [(0.055, 1), (0.045, 0)])
+    def test_the_pole_threshold_is_0_05(self, d1, order):
+        # fitted poles 0.0548 and 0.0449, residuals near 0.002
+        assert estimate_order([1.0, d1] + [0.0] * 30).order == order
+
+    @pytest.mark.parametrize("d1, order", [(0.38, 1), (0.4, 0)])
+    def test_the_residual_threshold_is_0_1(self, d1, order):
+        # residuals 0.0954 and 0.1050, fitted poles above 0.3
+        assert estimate_order([1.0, d1] + [0.0] * 30).order == order
+
+    @pytest.mark.parametrize(
+        "transient, pole, mean_square",
+        [([1.0, 0.5], None, 0.025), ([1.0, 0.5, 0.25], 10 / 21, 5 / 1008)],
+        ids=["one_transient_step", "two_transient_steps"],
+    )
+    def test_the_fit_ends_one_sample_past_the_first_settled_one(
+        self, transient, pole, mean_square
+    ):
+        # One more settled sample would average in one more zero residual.
+        estimate = estimate_order(transient + [0.0] * (32 - len(transient)))
+        assert estimate.pole == pytest.approx(pole, rel=1e-12)
+        assert estimate.fit_residual == pytest.approx(math.sqrt(mean_square), rel=1e-12)
 
     @given(
         response=impulse_responses(),
@@ -169,7 +197,7 @@ class TestEstimateOrder:
         # near-max samples: no sum, product or difference may leave the floats
         try:
             estimate_order(response)
-        except (InputDomainError, DegenerateInputError):
+        except InputDomainError:
             pass
 
     def test_scale_invariance(self):
