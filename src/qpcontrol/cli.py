@@ -249,6 +249,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InputDomainError, TraceDomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("error: out of memory; n_frames may be too large", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

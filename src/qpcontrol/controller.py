@@ -9,9 +9,9 @@ incremental: the state is a fixed handful of scalar accumulators and each
 frame costs the same bounded number of floating-point operations no matter
 how long the stream has been running.
 
-``controller_frame`` over a ``ControllerState`` is the one-frame reference;
-a run resolves its controller once with ``controller_stepper``, which keeps
-the same accumulators as locals and returns the same QPs bit for bit.
+``controller_frame`` over a ``ControllerState`` is the one-frame reference.
+``harness.run_closed_loop`` keeps the same accumulators as locals of its
+loop and emits the same QPs bit for bit.
 A ``ControllerState`` serves exactly one video stream and must be stepped
 sequentially. Distinct instances share nothing, so they may run on distinct
 threads, and an instance may move between threads between frames.
@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
 
 from .errors import InputDomainError
 
@@ -252,73 +251,3 @@ def controller_frame(
     state.prev_psnr = psnr_prev_frame
     return policy_qp(o, kind, state, qp_range)
 
-
-def controller_stepper(
-    qp_offset: float,
-    kind_at: Callable[[int], FrameKind],
-    gains: PidGains,
-    qp_range: QpRange,
-) -> Callable[[float | None, int], tuple[int, float]]:
-    """Resolve one stream's controller into ``step(error, t) -> (qp, o)``.
-
-    ``error`` is frame t-1's error signal (``compute_error`` of its PSNR),
-    or None at frame 0. Fed frames t = 0, 1, ..., the step returns bit for
-    bit the QP that ``controller_frame`` returns on a fresh
-    ``ControllerState`` and the control variable it leaves in ``last_o``
-    (0.0 at frame 0). The accumulators are locals of the step, updated in
-    the order ``pid_step`` then ``policy_qp`` updates them, and a check of
-    those primitives that fails raises the same exception type on the same
-    frame.
-    """
-    if not math.isfinite(qp_offset):
-        raise InputDomainError(f"qp_offset must be finite, got {qp_offset!r}")
-    kp, ki, kd = gains.kp, gains.ki, gains.kd
-    qp_min, qp_max = qp_range.qp_min, qp_range.qp_max
-    isfinite, floor, ceil = math.isfinite, math.floor, math.ceil
-    inter, intra = FrameKind.INTER, FrameKind.INTRA
-    error_integral = 0.0
-    prev_error: float | None = None
-    o_integral = 0.0
-    o_double_integral = 0.0
-
-    def step(error: float | None, t: int) -> tuple[int, float]:
-        nonlocal error_integral, prev_error, o_integral, o_double_integral
-        if error is None:
-            if t:
-                raise InputDomainError(f"frame {t} requires the error of frame {t - 1}")
-            o = 0.0
-        else:
-            if not isfinite(error):
-                raise InputDomainError(f"error must be finite, got {error!r}")
-            error_integral += error
-            if prev_error is None:
-                if not t:
-                    raise InputDomainError(
-                        "frame 0 has no preceding frame; pass error=None"
-                    )
-                derivative = 0.0
-            else:
-                derivative = error - prev_error
-            o = kp * error + ki * error_integral - kd * derivative
-            prev_error = error
-            if not isfinite(o):
-                raise InputDomainError(f"o must be finite, got {o!r}")
-        o_integral += o
-        o_double_integral += o_integral
-        kind = kind_at(t)
-        if kind is inter:
-            raw = qp_offset + o_integral
-        elif kind is intra:
-            raw = qp_offset + o_double_integral
-        else:
-            raise InputDomainError(f"kind must be a FrameKind, got {kind!r}")
-        if not isfinite(raw):
-            raise InputDomainError(f"raw_qp must be finite, got {raw!r}")
-        qp = floor(raw + 0.5) if raw >= 0 else ceil(raw - 0.5)
-        if qp < qp_min:
-            qp = qp_min
-        elif qp > qp_max:
-            qp = qp_max
-        return qp, o
-
-    return step

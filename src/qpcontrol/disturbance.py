@@ -34,9 +34,9 @@ class DisturbanceKind(Enum):
 class DisturbanceSpec:
     """Deterministic per-frame PSNR perturbation.
 
-    ``amplitude`` is in dB. Sinusoids use ``period`` frames per cycle, steps
-    switch on at ``step_frame``, and seeded noise draws uniform values in
-    [-amplitude, amplitude] from a counter-based mix of (seed, frame), so
+    ``amplitude`` is in dB. Sinusoids use ``period`` >= 3 frames per cycle,
+    steps switch on at ``step_frame``, and seeded noise draws uniform values
+    in [-amplitude, amplitude] from a counter-based mix of (seed, frame), so
     equal seeds give bitwise-identical sequences. The seed is mixed once,
     when the spec is built.
     """
@@ -52,9 +52,9 @@ class DisturbanceSpec:
         if not math.isfinite(self.amplitude):
             raise InputDomainError(f"amplitude must be finite, got {self.amplitude!r}")
         if self.kind is DisturbanceKind.SINUSOID:
-            if self.period < 1:
+            if self.period < 3:  # periods 1 and 2 sample only the sine's zeros
                 raise InputDomainError(
-                    f"period must be >= 1 for a sinusoid disturbance, got {self.period}"
+                    f"period must be >= 3 for a sinusoid disturbance, got {self.period}"
                 )
             try:
                 float(self.period)  # each frame's phase divides by it

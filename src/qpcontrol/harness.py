@@ -1,9 +1,10 @@
 """Closed-loop and fixed-QP simulation runs plus their summary metrics.
 
-A run pairs one controller stream with one plant instance: each frame the
-controller turns the previous frame's error signal into a QP, the plant
-encodes, and the outcome is appended to the trace. The fixed-QP variant
-holds the rounded anchor QP and serves as the uncontrolled baseline. Every
+A run is one loop over frames that pairs one controller stream with one
+plant stepper: each frame the PID, whose accumulators are loop locals,
+turns the previous frame's error signal into a QP, the plant encodes, and
+the outcome is appended to the trace. The fixed-QP variant holds the
+rounded anchor QP and serves as the uncontrolled baseline. Every
 run is deterministic in its configuration; experiments share no mutable
 state, so many configurations may execute concurrently, ordered by
 configuration index rather than completion time.
@@ -25,7 +26,6 @@ from .controller import (
     PidGains,
     QpRange,
     clamp_round_qp,
-    controller_stepper,
 )
 from .errors import InputDomainError
 from .plant import PlantKind, PlantModel, plant_stepper, rate_model
@@ -153,64 +153,79 @@ class MetricsReport(NamedTuple):
         return self._asdict()
 
 
-def _run(
-    config: ExperimentConfig,
-    next_qp: Callable[[float | None, int], tuple[int, float]],
-) -> list[FrameRecord]:
-    """Step the plant with ``next_qp(error, t) -> (qp, o)`` per frame.
+def run_closed_loop(config: ExperimentConfig) -> list[FrameRecord]:
+    """Run the controller against the configured plant for ``n_frames``.
 
-    ``error`` is the previous frame's error signal, None at frame 0. The
-    plant is resolved once into a per-run stepper, so the configured model
-    is never copied or mutated. Each frame's error is computed once, from
-    the fresh measurement with the ``compute_error`` formula; it is
-    recorded and passed on to the next frame's ``next_qp``. The recorded
-    ``o`` is the control variable that produced the frame's QP.
+    Frame t's QP comes from the controller fed with frame t-1's error. The
+    PID accumulators are locals of the loop, updated with
+    ``controller_frame``'s arithmetic in the same order, so the QPs and
+    control variables match it bit for bit, and a non-finite error, ``o``
+    or raw QP raises the same InputDomainError on the same frame. The plant
+    is resolved once into a per-run stepper, so the configured model is
+    never copied or mutated. Each frame's error is computed once, from the
+    fresh measurement with the ``compute_error`` formula, recorded and fed
+    to the next frame. ``config.mode`` is not read: the caller chooses the
+    run.
     """
     step = plant_stepper(config.plant, config.n_frames)
+    kind_at = parse_kind_pattern(config.kind_pattern)
+    kp, ki, kd = config.gains.kp, config.gains.ki, config.gains.kd
+    qp_min, qp_max = config.qp_range.qp_min, config.qp_range.qp_max
+    anchor = config.qp_offset
+    lam = config.objective.lambda_
+    keep = 1.0 - lam
+    target = config.objective.target_psnr
+    isfinite, floor, ceil, inter = math.isfinite, math.floor, math.ceil, FrameKind.INTER
+    records: list[FrameRecord] = []
+    append = records.append
+    record = tuple.__new__
+    o = o_integral = o_double_integral = error_integral = 0.0
+    error = prev_error = prev_psnr = 0.0
+    for t in range(config.n_frames):
+        if t:  # frame 0 emits the rounded anchor with o = 0.0
+            if not isfinite(error):
+                raise InputDomainError(f"error must be finite, got {error!r}")
+            error_integral += error
+            derivative = error - prev_error if t > 1 else 0.0
+            o = kp * error + ki * error_integral - kd * derivative
+            prev_error = error
+            if not isfinite(o):
+                raise InputDomainError(f"o must be finite, got {o!r}")
+        o_integral += o
+        o_double_integral += o_integral
+        raw = anchor + (o_integral if kind_at(t) is inter else o_double_integral)
+        if not isfinite(raw):
+            raise InputDomainError(f"raw_qp must be finite, got {raw!r}")
+        qp = floor(raw + 0.5) if raw >= 0 else ceil(raw - 0.5)
+        qp = qp_min if qp < qp_min else qp_max if qp > qp_max else qp
+        psnr, bits = step(qp, t)
+        error = lam * (psnr - target) + keep * (psnr - prev_psnr if t else 0.0)
+        append(record(FrameRecord, (t, qp, psnr, bits, error, o)))
+        prev_psnr = psnr
+    return records
+
+
+def run_fixed_qp(config: ExperimentConfig) -> list[FrameRecord]:
+    """Baseline run: hold the rounded anchor QP, step the plant identically.
+
+    No controller runs, so every frame records ``o = 0.0``; the error column
+    is computed as in ``run_closed_loop``. ``config.mode`` is not read.
+    """
+    step = plant_stepper(config.plant, config.n_frames)
+    qp = clamp_round_qp(config.qp_offset, config.qp_range)
     lam = config.objective.lambda_
     keep = 1.0 - lam
     target = config.objective.target_psnr
     records: list[FrameRecord] = []
     append = records.append
     record = tuple.__new__
-    error: float | None = None
-    prev_psnr: float | None = None
+    prev_psnr = 0.0
     for t in range(config.n_frames):
-        qp, o = next_qp(error, t)
         psnr, bits = step(qp, t)
-        fluctuation = 0.0 if prev_psnr is None else psnr - prev_psnr
-        error = lam * (psnr - target) + keep * fluctuation
-        append(record(FrameRecord, (t, qp, psnr, bits, error, o)))
+        error = lam * (psnr - target) + keep * (psnr - prev_psnr if t else 0.0)
+        append(record(FrameRecord, (t, qp, psnr, bits, error, 0.0)))
         prev_psnr = psnr
     return records
-
-
-def run_closed_loop(config: ExperimentConfig) -> list[FrameRecord]:
-    """Run the controller against the configured plant for ``n_frames``.
-
-    Frame t's QP comes from the controller fed with frame t-1's error,
-    through a per-run ``controller_stepper``. ``config.mode`` is not read:
-    the caller chooses the run.
-    """
-    return _run(
-        config,
-        controller_stepper(
-            config.qp_offset,
-            parse_kind_pattern(config.kind_pattern),
-            config.gains,
-            config.qp_range,
-        ),
-    )
-
-
-def run_fixed_qp(config: ExperimentConfig) -> list[FrameRecord]:
-    """Baseline run: hold the rounded anchor QP, step the plant identically.
-
-    No controller runs, so every frame records ``o = 0.0``. ``config.mode``
-    is not read.
-    """
-    held = (clamp_round_qp(config.qp_offset, config.qp_range), 0.0)
-    return _run(config, lambda error, t: held)
 
 
 def mean(xs: Sequence[float]) -> float:

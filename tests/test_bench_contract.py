@@ -19,7 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import layers  # noqa: E402
 import workloads  # noqa: E402
 
-WORKLOADS = ["cold_cli", "trace_sweep"]
+WORKLOADS = ["cold_cli", "synthetic_sweep", "trace_sweep"]
 
 
 @pytest.mark.parametrize("name", WORKLOADS)

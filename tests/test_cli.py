@@ -309,8 +309,18 @@ class TestSweep:
         assert run_cli("sweep", "--out", tmp_path) == 2
         assert capsys.readouterr().err == "error: sweep requires at least one --grid axis\n"
 
-    def test_unknown_grid_key_is_a_usage_error(self, tmp_path):
-        assert run_cli("sweep", "--out", tmp_path, "--grid", "nope=1,2") == 2
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ("nope=1,2", "--grid: unknown key 'nope'"),
+            ("gains.kp", "--grid expects KEY=V1,V2,..., got 'gains.kp'"),
+            ("gains.kp=,", "--grid: no values for key 'gains.kp'"),
+        ],
+        ids=["unknown_key", "no_equals", "no_values"],
+    )
+    def test_a_bad_grid_axis_is_a_usage_error(self, tmp_path, capsys, grid, message):
+        assert run_cli("sweep", "--out", tmp_path, "--grid", grid) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_a_repeated_grid_key_is_a_usage_error(self, tmp_path, capsys):
         # two columns of one key would label rows with values the run never used
@@ -497,19 +507,67 @@ class TestExitCodes:
         assert "n_frames" in err and "plant.trace_path" in err
         assert not (tmp_path / "trace.csv").exists()
 
-    def test_runtime_error_exits_three(self, tmp_path):
-        # the anchor QP 45 lies outside the tabulated span [30, 40]
-        trace = tmp_path / "short.csv"
-        trace.write_text(TRACE_TEXT)
+    @pytest.mark.parametrize(
+        "table, qp_offset, message",
+        [
+            # the anchor QP 45 lies outside the tabulated span [30, 40]
+            (TRACE_TEXT, 45, "qp 45 outside tabulated span [30, 40] at frame 0"),
+            # QP 25 interpolates between +-1.7e308 past the float range
+            (
+                "frame,qp,psnr_db,bits\n0,0,1.7e308,0\n0,51,-1.7e308,0\n",
+                25,
+                "psnr must be finite, got -inf",
+            ),
+        ],
+        ids=["outside_the_span", "interpolates_past_the_float_range"],
+    )
+    def test_runtime_error_exits_three(self, tmp_path, capsys, table, qp_offset, message):
+        trace = tmp_path / "table.csv"
+        trace.write_text(table)
+        out = tmp_path / "out"
         code = run_cli(
             "simulate",
-            "--out", tmp_path,
+            "--out", out,
             "--set", "plant.kind=trace_driven",
             "--set", f"plant.trace_path={trace}",
-            "--set", "n_frames=2",
-            "--set", "qp_offset=45",
+            "--set", "n_frames=1",
+            "--set", f"qp_offset={qp_offset}",
         )
         assert code == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_a_run_too_large_for_memory_exits_three(self, tmp_path, capsys, monkeypatch):
+        def exhausted(config):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_closed_loop", exhausted)
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "memory" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("period, code", [(1, 2), (2, 2), (3, 0)])
+    def test_a_sinusoid_period_below_three_exits_two_at_load(
+        self, tmp_path, capsys, period, code
+    ):
+        # periods 1 and 2 sample the sine only at its zeros, so the fixed-QP
+        # fluctuation would be float residue
+        overrides = [
+            "objective.target_psnr=36",
+            "plant.disturbance.kind=sinusoid",
+            "plant.disturbance.amplitude=0.5",
+            f"plant.disturbance.period={period}",
+        ]
+        out = tmp_path / "out"
+        assert run_cli("compare", "--out", out, *as_set(overrides)) == code
+        if code:
+            assert capsys.readouterr().err == (
+                "error: plant.disturbance.period must be >= 3 for a sinusoid "
+                f"disturbance, got {period}\n"
+            )
+            assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "identify"])
     @pytest.mark.parametrize(

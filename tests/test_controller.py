@@ -236,6 +236,22 @@ class TestPolicyQp:
         with pytest.raises(InputDomainError, match="no pending control variable"):
             policy_qp(o, FrameKind.INTER, state, QpRange())
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: ControllerState(qp_offset=math.nan), "qp_offset must be finite"),
+            (lambda: ControllerState(frame_index=-1), "frame_index must be nonnegative"),
+            (
+                lambda: policy_qp(0.0, "inter", ControllerState(o_pending=True), QpRange()),
+                "kind must be a FrameKind, got 'inter'",
+            ),
+        ],
+        ids=["nan_offset", "negative_frame", "str_kind"],
+    )
+    def test_state_and_policy_reject_what_no_stream_can_hold(self, call, message):
+        with pytest.raises(InputDomainError, match=message):
+            call()
+
     def test_policy_without_pid_step_is_a_sequencing_error(self):
         with pytest.raises(InputDomainError, match="no pending control variable"):
             policy_qp(1.0, FrameKind.INTER, ControllerState(), QpRange())

@@ -189,9 +189,17 @@ class TestDisturbance:
         assert min(values) < -0.35
         assert max(values) > 0.35
 
-    def test_negative_frame_rejected(self):
-        with pytest.raises(InputDomainError):
-            disturbance_at(DisturbanceSpec(), -1)
+    @pytest.mark.parametrize(
+        "step",
+        [
+            lambda: disturbance_at(DisturbanceSpec(), -1),
+            lambda: step_plant(PlantModel(), 30, -1),
+        ],
+        ids=["disturbance_at", "step_plant"],
+    )
+    def test_negative_frame_rejected(self, step):
+        with pytest.raises(InputDomainError, match="frame_index must be nonnegative"):
+            step()
 
 
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15  # splitmix64's increment
@@ -203,14 +211,14 @@ CARRYING_SEED = 1
 @st.composite
 def columns(draw):
     """A spec and a length, with ``step_frame`` before, inside and past the
-    column and ``period`` from 1 to past it."""
+    column and ``period`` from 3, the least a sinusoid takes, to past it."""
     n = draw(st.integers(0, 5000))
     spec = DisturbanceSpec(
         kind=draw(st.sampled_from(DisturbanceKind)),
         amplitude=draw(
             st.sampled_from([0.0, -0.0, 1e308, -1e308]) | st.floats(-1e308, 1e308)
         ),
-        period=draw(st.just(1) | st.integers(1, n + 10)),
+        period=draw(st.just(3) | st.integers(3, n + 10)),
         step_frame=draw(
             st.integers(-10, -1) | st.integers(0, n) | st.integers(n + 1, n + 10)
         ),
@@ -309,11 +317,25 @@ class TestTraceTable:
         with pytest.raises(InputDomainError):
             TraceTable.parse(bad)
 
-    def test_field_count_enforced(self):
-        for row in ("0,30,38.0", "0,30,38.0,500000.0,1"):
-            with pytest.raises(InputDomainError) as info:
-                TraceTable.parse(f"frame,qp,psnr_db,bits\n{row}\n")
-            assert str(info.value) == "trace line 2: expected 4 fields"
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0,30,38.0", "trace line 2: expected 4 fields"),
+            ("0,30,38.0,500000.0,1", "trace line 2: expected 4 fields"),
+            ("x,1,2,3", "trace line 2: invalid literal for int() with base 10: 'x'"),
+            ("0,30,nan,500000.0", "trace line 2: bad psnr/bits"),
+            ("0,30,38.0,-1", "trace line 2: bad psnr/bits"),
+            ("", "trace table has no data rows"),
+        ],
+    )
+    def test_a_bad_data_row_is_rejected_naming_its_line(self, row, message):
+        with pytest.raises(InputDomainError) as info:
+            TraceTable.parse(f"frame,qp,psnr_db,bits\n{row}\n")
+        assert str(info.value) == message
+
+    def test_blank_data_lines_are_skipped(self):
+        spaced = TRACE_TEXT.replace("\n1,30", "\n\n  \n1,30")
+        assert TraceTable.parse(spaced) == TraceTable.parse(TRACE_TEXT)
 
     def test_table_is_frozen_with_tuple_rows(self):
         table = TraceTable.parse(TRACE_TEXT)

@@ -1,6 +1,6 @@
-"""Differential tests: the per-run plant and controller steppers and the run
-loop against the step-by-step primitives, compared bit for bit with ``float.hex`` so that a
--0.0 against a 0.0 counts as a difference."""
+"""Differential tests: the per-run plant stepper and the run loops against
+the step-by-step primitives, compared bit for bit with ``float.hex`` so that
+a -0.0 against a 0.0 counts as a difference."""
 
 import dataclasses
 import sys
@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 from qpcontrol.controller import (
     ControllerState,
     ControlObjective,
+    FrameKind,
     PidGains,
     QpRange,
     clamp_round_qp,
     compute_error,
     controller_frame,
-    controller_stepper,
 )
 from qpcontrol.errors import InputDomainError
 from qpcontrol.harness import (
@@ -45,7 +45,7 @@ disturbances = st.builds(
     DisturbanceSpec,
     kind=st.sampled_from(DisturbanceKind),
     amplitude=st.floats(-5.0, 5.0),
-    period=st.integers(1, 60),
+    period=st.integers(3, 60),
     step_frame=st.integers(-3, MAX_FRAMES),
     seed=st.integers(-(2**70), 2**70),
 )
@@ -110,19 +110,51 @@ def test_stepper_matches_step_plant_bit_for_bit(plant, override, qps):
     assert bit_pattern(got) == bit_pattern((o.psnr, o.bits) for o in want)
 
 
-def controller_outcomes(psnrs, frame_qp):
-    """``frame_qp(psnr_prev_frame, t) -> (qp, o)`` over frames 0..len(psnrs);
+def controller_outcomes(psnrs, kind_pattern, state, gains, objective, qp_range):
+    """``controller_frame`` over frames 0..len(psnrs), fed frame t-1's PSNR;
     each frame's ``(qp, o.hex())``, ending with the exception type on the
     frame that raises."""
+    kind_at = parse_kind_pattern(kind_pattern)
     outcomes = []
     for t, psnr in enumerate([None, *psnrs]):
         try:
-            qp, o = frame_qp(psnr, t)
+            qp = controller_frame(psnr, kind_at(t), state, gains, objective, qp_range)
         except Exception as exc:
             outcomes.append(type(exc))
             break
-        outcomes.append((qp, o.hex()))
+        outcomes.append((qp, state.last_o.hex()))
     return outcomes
+
+
+def loop_outcomes(config):
+    """``run_closed_loop``'s ``(qp, o.hex())`` per frame, ending with the
+    exception type on the frame that raises: the first frame count whose
+    run raises names that frame."""
+    records = []
+    for n in range(1, config.n_frames + 1):
+        try:
+            records = run_closed_loop(dataclasses.replace(config, n_frames=n))
+        except Exception as exc:
+            return [(r.qp, r.o.hex()) for r in records] + [type(exc)]
+    return [(r.qp, r.o.hex()) for r in records]
+
+
+def psnr_stream_config(psnrs, gains, objective, qp_range, qp_offset, kind_pattern):
+    """A closed loop whose plant reads ``psnrs[j]`` at frame j whatever the
+    QP: every QP of the range is tabulated, so no lookup interpolates. The
+    run has one frame more than ``psnrs``, as the controller sees
+    frames 0..len(psnrs)."""
+    qps = range(qp_range.qp_min, qp_range.qp_max + 1)
+    rows = {j: [(qp, psnr, 0.0) for qp in qps] for j, psnr in enumerate([*psnrs, 0.0])}
+    return ExperimentConfig(
+        plant=PlantModel.trace_driven(TraceTable(rows)),
+        objective=objective,
+        gains=gains,
+        qp_range=qp_range,
+        qp_offset=qp_offset,
+        kind_pattern=kind_pattern,
+        n_frames=len(psnrs) + 1,
+    )
 
 
 wide = st.floats(-1e308, 1e308)
@@ -144,27 +176,13 @@ controller_inputs = dict(
 )
 
 
-def controller_pair(gains, objective, qp_range, qp_offset, kind_pattern):
-    """One fresh stream's ``(stepped, reference)`` frame functions, each
-    ``(psnr_prev_frame, t) -> (qp, o)``: the ``controller_stepper`` fed
-    ``compute_error`` of each PSNR, and ``controller_frame``."""
-    kind_at = parse_kind_pattern(kind_pattern)
+def loop_and_reference(gains, objective, qp_bounds, qp_offset, kind_pattern, psnrs):
+    qp_range = QpRange(*qp_bounds)
+    config = psnr_stream_config(psnrs, gains, objective, qp_range, qp_offset, kind_pattern)
     state = ControllerState(qp_offset=qp_offset)
-
-    def reference(psnr, t):
-        qp = controller_frame(psnr, kind_at(t), state, gains, objective, qp_range)
-        return qp, state.last_o
-
-    step = controller_stepper(qp_offset, kind_at, gains, qp_range)
-    error, prev = None, None
-
-    def stepped(psnr, t):
-        nonlocal error, prev
-        if psnr is not None:
-            error, prev = compute_error(psnr, prev, objective), psnr
-        return step(error, t)
-
-    return stepped, reference
+    return loop_outcomes(config), controller_outcomes(
+        psnrs, kind_pattern, state, gains, objective, qp_range
+    )
 
 
 @settings(max_examples=300)
@@ -185,13 +203,13 @@ def controller_pair(gains, objective, qp_range, qp_offset, kind_pattern):
     kind_pattern="inter",
     psnrs=[],
 )
-def test_controller_stepper_matches_controller_frame_bit_for_bit(
+def test_closed_loop_matches_controller_frame_bit_for_bit(
     gains, objective, qp_bounds, qp_offset, kind_pattern, psnrs
 ):
-    stepped, reference = controller_pair(
-        gains, objective, QpRange(*qp_bounds), qp_offset, kind_pattern
+    loop, reference = loop_and_reference(
+        gains, objective, qp_bounds, qp_offset, kind_pattern, psnrs
     )
-    assert controller_outcomes(psnrs, stepped) == controller_outcomes(psnrs, reference)
+    assert loop == reference
 
 
 @settings(max_examples=300)
@@ -200,11 +218,10 @@ def test_every_qp_lies_in_range_or_the_frame_raises(
     gains, objective, qp_bounds, qp_offset, kind_pattern, psnrs
 ):
     qp_min, qp_max = qp_bounds
-    frame_qps = controller_pair(
-        gains, objective, QpRange(qp_min, qp_max), qp_offset, kind_pattern
-    )
-    for frame_qp in frame_qps:
-        for outcome in controller_outcomes(psnrs, frame_qp):
+    for outcomes in loop_and_reference(
+        gains, objective, qp_bounds, qp_offset, kind_pattern, psnrs
+    ):
+        for outcome in outcomes:
             assert outcome is InputDomainError or qp_min <= outcome[0] <= qp_max
 
 
@@ -220,38 +237,32 @@ def test_every_qp_lies_in_range_or_the_frame_raises(
     ],
     ids=["error", "o", "raw_qp"],
 )
-def test_controller_stepper_raises_where_the_primitives_raise(gains, psnrs, message):
+def test_closed_loop_raises_where_the_primitives_raise(gains, psnrs, message):
     objective = ControlObjective(target_psnr=37.2, lambda_=0.5)
-    kind_at = parse_kind_pattern("inter")
-    qp_range = QpRange()
+    config = psnr_stream_config(psnrs, gains, objective, QpRange(), 32.0, "inter")
+    with pytest.raises(InputDomainError, match=message):
+        run_closed_loop(config)
     state = ControllerState(qp_offset=32.0)
-    step = controller_stepper(32.0, kind_at, gains, qp_range)
-    errors, prev = [None], None
-    for psnr in psnrs:
-        errors.append(compute_error(psnr, prev, objective))
-        prev = psnr
-    *settled, (t, psnr, error) = zip(range(len(errors)), [None, *psnrs], errors)
-    for t_ok, psnr_ok, error_ok in settled:
-        controller_frame(psnr_ok, kind_at(t_ok), state, gains, objective, qp_range)
-        step(error_ok, t_ok)
     with pytest.raises(InputDomainError, match=message):
-        controller_frame(psnr, kind_at(t), state, gains, objective, qp_range)
-    with pytest.raises(InputDomainError, match=message):
-        step(error, t)
+        for psnr in [None, *psnrs]:
+            controller_frame(psnr, FrameKind.INTER, state, gains, objective, QpRange())
+    # Both raise on the last frame, the one fed the PSNR that breaks it.
+    assert loop_outcomes(config)[len(psnrs)] is InputDomainError
 
 
-def test_controller_stepper_checks_the_frame_zero_contract():
-    kind_at = parse_kind_pattern("inter")
-    with pytest.raises(InputDomainError, match="frame 0 has no preceding frame"):
-        controller_stepper(32.0, kind_at, PidGains(), QpRange())(0.5, 0)
-    step = controller_stepper(32.0, kind_at, PidGains(), QpRange())
-    assert step(None, 0) == (32, 0.0)
-    with pytest.raises(InputDomainError, match="frame 1 requires the error of frame 0"):
-        step(None, 1)
+@pytest.mark.parametrize(
+    "qp_offset, qp_bounds, qp",
+    [(32.0, (0, 51), 32), (-2.5, (-10, 10), -3), (60.4, (0, 51), 51)],
+    ids=["anchor", "negative_tie", "clamped"],
+)
+def test_frame_zero_emits_the_rounded_anchor(qp_offset, qp_bounds, qp):
+    config = psnr_stream_config(
+        [], PidGains(), ControlObjective(37.2), QpRange(*qp_bounds), qp_offset, "intra"
+    )
+    record = run_closed_loop(config)[0]
+    assert (record.qp, record.o.hex()) == (qp, (0.0).hex())
     with pytest.raises(InputDomainError, match="qp_offset must be finite"):
-        controller_stepper(float("nan"), kind_at, PidGains(), QpRange())
-    with pytest.raises(InputDomainError, match="kind must be a FrameKind"):
-        controller_stepper(32.0, lambda t: "inter", PidGains(), QpRange())(None, 0)
+        dataclasses.replace(config, qp_offset=float("nan"))
 
 
 def reference_run(config):

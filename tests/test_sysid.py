@@ -121,9 +121,18 @@ class TestEstimateOrder:
         assert estimate.order == 1
         assert estimate.pole == pytest.approx(0.8, abs=1e-6)
 
-    def test_minimum_length(self):
-        with pytest.raises(InputDomainError):
-            estimate_order([1.0, 0.5, 0.25, 0.125, 0.0, 0.0, 0.0])
+    @pytest.mark.parametrize(
+        "response, message",
+        [
+            ([1.0, 0.5, 0.25, 0.125, 0.0, 0.0, 0.0], "at least 8 samples"),
+            (["a"] * 8, "response must be a sequence of numbers"),
+            ([math.nan] * 8, "response must be finite"),
+        ],
+        ids=["too_short", "not_numbers", "not_finite"],
+    )
+    def test_rejects_what_is_not_eight_finite_numbers(self, response, message):
+        with pytest.raises(InputDomainError, match=message):
+            estimate_order(response)
 
     def test_all_zero_response_is_degenerate(self):
         with pytest.raises(InputDomainError, match="all-zero response"):
