@@ -202,7 +202,7 @@ def parse_configs(
         if not file_path.is_file():
             raise ConfigError(f"config file not found: {file_path}")
         try:
-            text = file_path.read_text(encoding="utf-8")
+            text = file_path.read_text(encoding="utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{file_path}: not UTF-8 text: {exc}") from exc
         kv.update(_parse_lines(text, str(file_path)))

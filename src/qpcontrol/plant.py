@@ -7,7 +7,8 @@ Three plant flavours map a per-frame QP to PSNR and bits:
   ``psnr = alpha * prev + (1 - alpha) * (c0 - c1 * qp) + w`` (one geometric
   pole at ``alpha``)
 * trace-driven: per-frame PSNR/bits tables measured elsewhere, linearly
-  interpolated between tabulated QPs.
+  interpolated between tabulated QPs. The ``TraceTable`` that holds them
+  lives in ``qpcontrol._tracetable`` and is re-exported here.
 
 ``w`` is a deterministic disturbance modelling content variation, a
 ``DisturbanceSpec`` from ``qpcontrol.disturbance`` (this module re-exports
@@ -27,10 +28,8 @@ so one model may back any number of concurrent runs.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 from typing import Callable
 
 from .disturbance import (  # DisturbanceKind is re-exported
@@ -39,9 +38,8 @@ from .disturbance import (  # DisturbanceKind is re-exported
     disturbance_at,
     disturbance_column,
 )
-from .errors import InputDomainError, TraceDomainError
-
-TRACE_HEADER = "frame,qp,psnr_db,bits"
+from .errors import InputDomainError
+from ._tracetable import TRACE_HEADER, TraceTable  # re-exported
 
 
 class PlantKind(Enum):
@@ -62,87 +60,6 @@ class FrameOutcome:
             raise InputDomainError(f"psnr must be finite, got {self.psnr!r}")
         if not (math.isfinite(self.bits) and self.bits >= 0):
             raise InputDomainError(f"bits must be finite and >= 0, got {self.bits!r}")
-
-
-@dataclass(frozen=True)
-class TraceTable:
-    """Per-frame (qp, psnr, bits) rows parsed from a trace CSV.
-
-    ``rows[frame]`` is a tuple sorted by qp, and lookups bisect it. Lookups
-    are exact at tabulated QPs and linear in qp between them; anything
-    outside the tabulated span raises TraceDomainError. The table is
-    frozen, so one table may back any number of plants and runs.
-    """
-
-    rows: dict[int, tuple[tuple[int, float, float], ...]]
-
-    def __post_init__(self) -> None:
-        # A frame's rows may come as any sequence; they are kept as a tuple.
-        frozen = {frame: tuple(entries) for frame, entries in self.rows.items()}
-        for frame, entries in frozen.items():
-            if not entries:
-                raise InputDomainError(f"frame {frame} has no rows")
-        object.__setattr__(self, "rows", frozen)
-
-    @classmethod
-    def parse(cls, text: str) -> "TraceTable":
-        lines = text.splitlines()
-        if not lines or lines[0].strip() != TRACE_HEADER:
-            raise InputDomainError(
-                f"trace table must start with header {TRACE_HEADER!r}"
-            )
-        rows: dict[int, list[tuple[int, float, float]]] = {}
-        prev_key: tuple[int, int] | None = None
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            try:
-                frame, qp, psnr, bits = line.split(",")
-            except ValueError:
-                raise InputDomainError(f"trace line {lineno}: expected 4 fields") from None
-            try:
-                frame, qp, psnr, bits = int(frame), int(qp), float(psnr), float(bits)
-            except ValueError as exc:
-                raise InputDomainError(f"trace line {lineno}: {exc}") from exc
-            if not math.isfinite(psnr) or not math.isfinite(bits) or bits < 0:
-                raise InputDomainError(f"trace line {lineno}: bad psnr/bits")
-            key = (frame, qp)
-            if prev_key is not None and key <= prev_key:
-                raise InputDomainError(
-                    f"trace line {lineno}: rows must be strictly sorted by (frame, qp)"
-                )
-            prev_key = key
-            rows.setdefault(frame, []).append((qp, psnr, bits))
-        if not rows:
-            raise InputDomainError("trace table has no data rows")
-        return cls(rows=rows)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "TraceTable":
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise InputDomainError(f"not UTF-8 text: {exc}") from exc
-        return cls.parse(text)
-
-    def lookup(self, frame_index: int, qp: int) -> tuple[float, float]:
-        entries = self.rows.get(frame_index)
-        if entries is None:
-            raise TraceDomainError(f"frame {frame_index} is not tabulated")
-        # (qp,) sorts just below the row (qp, psnr, bits), so i is the first
-        # row whose QP is not below qp. Bisecting the rows themselves keeps
-        # no per-frame QP index, which would add to peak memory.
-        i = bisect_left(entries, (qp,))
-        if i < len(entries) and entries[i][0] == qp:
-            return entries[i][1], entries[i][2]
-        if i == 0 or i == len(entries):
-            raise TraceDomainError(
-                f"qp {qp} outside tabulated span "
-                f"[{entries[0][0]}, {entries[-1][0]}] at frame {frame_index}"
-            )
-        lo, hi = entries[i - 1], entries[i]
-        t = (qp - lo[0]) / (hi[0] - lo[0])
-        return lo[1] + t * (hi[1] - lo[1]), lo[2] + t * (hi[2] - lo[2])
 
 
 @dataclass

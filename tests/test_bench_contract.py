@@ -38,3 +38,17 @@ def test_the_traced_cli_exits_zero(tmp_path, capsys, name):
         problems = layers.run_cli(workload, tmp_path / "out", tracer)
     assert problems == []
     assert tracer.spans
+
+
+def test_the_trace_row_count_reads_the_tables_data_rows(tmp_path):
+    # bench/measure.py reports plant.trace_rows as this sum over rows[frame].
+    workload = workloads.generate("trace_sweep", 1, tmp_path)
+    with open(tmp_path / "trace_table.csv", encoding="utf-8") as table_file:
+        data_rows = sum(1 for line in table_file if line.strip()) - 1
+    table = layers.prepare(workload)[0].config.plant.trace
+    assert sum(len(rows) for rows in table.rows.values()) == data_rows == 18_000
+
+
+def test_the_traced_trace_load_wraps_a_classmethod():
+    # bench/layers.traced_cli re-wraps TraceTable.__dict__["load"].__func__.
+    assert isinstance(layers.TraceTable.__dict__["load"], classmethod)

@@ -763,6 +763,25 @@ class TestExitCodes:
         assert err.startswith("error: plant.trace_path: not UTF-8 text: ")
         assert not out.exists()
 
+    def test_a_config_file_with_a_utf8_bom_is_read(self, tmp_path, capsys):
+        config = tmp_path / "bom.cfg"
+        config.write_bytes(b"\xef\xbb\xbfn_frames = 20\n")
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", config, "--out", out) == 0
+        assert (out / "trace.csv").read_text().count("\n") == 21
+
+    def test_a_trace_table_with_a_utf8_bom_is_read(self, tmp_path, capsys):
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(TRACE_TEXT)
+        bom.write_bytes(b"\xef\xbb\xbf" + TRACE_TEXT.replace("\n", "\r\n").encode())
+        emitted = []
+        for trace in (plain, bom):
+            out = tmp_path / trace.stem
+            overrides = ["plant.kind=trace_driven", f"plant.trace_path={trace}", "n_frames=2"]
+            assert run_cli("simulate", "--out", out, *as_set(overrides)) == 0
+            emitted.append((out / "trace.csv").read_bytes())
+        assert emitted[0] == emitted[1]
+
     def test_missing_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main([])

@@ -1,5 +1,7 @@
 """Configuration grammar tests: defaults, overrides, errors, round-trip."""
 
+import copy
+import pickle
 from pathlib import Path
 
 import pytest
@@ -253,6 +255,24 @@ class TestRoundTrip:
             ],
         )
         assert parse_config_from_text(emit_config(config)) == config
+
+    @pytest.mark.parametrize(
+        "round_trip", [copy.deepcopy, lambda config: pickle.loads(pickle.dumps(config))]
+    )
+    def test_a_trace_driven_config_pickles_and_deep_copies(self, tmp_path, round_trip):
+        trace_path = tmp_path / "trace.csv"
+        trace_path.write_text(TRACE_TEXT)
+        config = parse_config(
+            None,
+            ["plant.kind=trace_driven", f"plant.trace_path={trace_path}", "n_frames=2"],
+        )
+        copied = round_trip(config)
+        assert copied == config
+        assert copied.plant.trace.rows == config.plant.trace.rows
+        for frame in (0, 1):
+            for qp in range(30, 41):
+                expected = config.plant.trace.lookup(frame, qp)
+                assert copied.plant.trace.lookup(frame, qp) == expected
 
     @pytest.mark.parametrize(
         "trace_path",

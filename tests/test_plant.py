@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given
@@ -325,6 +326,8 @@ class TestTraceTable:
             ("x,1,2,3", "trace line 2: invalid literal for int() with base 10: 'x'"),
             ("0,30,nan,500000.0", "trace line 2: bad psnr/bits"),
             ("0,30,38.0,-1", "trace line 2: bad psnr/bits"),
+            ("0,30,\ud800,1", "trace line 2: could not convert string to float: '\\ud800'"),
+            ("0,30,38.0,abc", "trace line 2: could not convert string to float: 'abc'"),
             ("", "trace table has no data rows"),
         ],
     )
@@ -337,13 +340,56 @@ class TestTraceTable:
         spaced = TRACE_TEXT.replace("\n1,30", "\n\n  \n1,30")
         assert TraceTable.parse(spaced) == TraceTable.parse(TRACE_TEXT)
 
-    def test_table_is_frozen_with_tuple_rows(self):
+    def test_table_is_deeply_immutable(self):
         table = TraceTable.parse(TRACE_TEXT)
         with pytest.raises(dataclasses.FrozenInstanceError):
             table.rows = {}
-        assert all(type(entries) is tuple for entries in table.rows.values())
-        built = TraceTable({0: [(30, 38.0, 500000.0), (40, 34.0, 200000.0)]})
-        assert built.rows[0] == ((30, 38.0, 500000.0), (40, 34.0, 200000.0))
+        entries = table.rows[0]
+        for column in (entries.psnr, entries.bits):
+            with pytest.raises(TypeError):
+                column[entries.start] = 0.0
+        with pytest.raises(TypeError):
+            entries[0] = (30, 0.0, 0.0)
+        assert entries[0] == (30, 38.0, 500000.0)
+        assert table.lookup(0, 30) == (38.0, 500000.0)
+
+    def test_rows_read_as_a_sequence_of_row_tuples(self):
+        rows = [(30, 38.0, 500000.0), (40, 34.0, 200000.0)]
+        entries = TraceTable({0: rows}).rows[0]
+        assert len(entries) == 2
+        assert (entries[-1], entries[0:1]) == (rows[-1], (rows[0],))
+        assert list(entries) == rows and entries == tuple(rows)
+        assert repr(entries) == repr(tuple(rows))
+        with pytest.raises(IndexError):
+            entries[2]
+
+    def test_the_constructor_stores_psnr_and_bits_as_floats(self):
+        entries = TraceTable({0: [(30, 38, 500000)]}).rows[0]
+        assert [type(value) for value in entries[0]] == [int, float, float]
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([(40, 34.0, 2e5), (30, 38.0, 5e5)], "frame 7: qps must strictly increase"),
+            ([(30, 38.0, 5e5), (30, 37.0, 4e5)], "frame 7: qps must strictly increase"),
+            ([(30, math.nan, 5e5)], "frame 7: bad psnr/bits"),
+            ([(30, -math.inf, 5e5)], "frame 7: bad psnr/bits"),
+            ([(30, 38.0, math.inf)], "frame 7: bad psnr/bits"),
+            ([(30, 38.0, math.nan)], "frame 7: bad psnr/bits"),
+            ([(30, 38.0, -5e-324)], "frame 7: bad psnr/bits"),
+        ],
+    )
+    def test_the_constructor_refuses_what_parse_refuses(self, rows, message):
+        with pytest.raises(InputDomainError) as info:
+            TraceTable({0: [(30, 38.0, 5e5)], 7: rows})
+        assert str(info.value) == message
+
+    def test_rows_taken_from_a_table_join_new_rows(self):
+        table = TraceTable.parse(TRACE_TEXT)
+        grown = TraceTable({**table.rows, 3: [(30, 37.0, 460000.0)]})
+        assert grown.rows[0] is table.rows[0]
+        assert grown.lookup(1, 35) == table.lookup(1, 35)
+        assert grown.lookup(3, 30) == (37.0, 460000.0)
 
     def test_step_reads_table_verbatim(self):
         table = TraceTable.parse(TRACE_TEXT)
@@ -417,3 +463,80 @@ def test_lookup_is_non_increasing_in_qp(qps, data):
     outcomes = [table.lookup(0, qp) for qp in range(min(qps), max(qps) + 1)]
     for (psnr, bit), (next_psnr, next_bit) in zip(outcomes, outcomes[1:]):
         assert next_psnr <= psnr and next_bit <= bit
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def trace_tables(draw):
+    """Valid per-frame rows for a few frames, each with its own QP span."""
+    frames = draw(st.lists(st.integers(0, 300), min_size=1, max_size=4, unique=True))
+    rows = {}
+    for frame in sorted(frames):
+        qps = sorted(draw(st.sets(st.integers(-5, 60), min_size=1, max_size=6)))
+        rows[frame] = [
+            (qp, draw(finite_floats), draw(finite_floats.map(abs))) for qp in qps
+        ]
+    return rows
+
+
+@given(
+    rows=trace_tables(),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    bom=st.booleans(),
+    blanks=st.lists(st.sampled_from(["", " ", "\t"]), max_size=3),
+)
+def test_load_parse_and_the_constructor_agree(tmp_path_factory, rows, newline, bom, blanks):
+    lines = ["frame,qp,psnr_db,bits"] + [
+        f"{frame},{qp},{psnr!r},{bits!r}"
+        for frame, entries in rows.items()
+        for qp, psnr, bits in entries
+    ]
+    for i, blank in enumerate(blanks):
+        lines.insert(1 + i * len(lines) // len(blanks), blank)
+    data = (("\ufeff" if bom else "") + newline.join(lines) + newline).encode()
+    path = tmp_path_factory.getbasetemp() / "property.csv"
+    path.write_bytes(data)
+    tables = [TraceTable.load(path), TraceTable.parse(data.decode()), TraceTable(rows)]
+    assert tables[0] == tables[1] == tables[2]
+    qps = [qp for entries in rows.values() for qp, _, _ in entries]
+    for frame in [*rows, max(rows) + 1]:
+        for qp in range(min(qps) - 2, max(qps) + 3):
+            outcomes = {outcome_of(table.lookup, frame, qp) for table in tables}
+            assert len(outcomes) == 1
+
+
+def test_a_loaded_table_keeps_its_rows_compact(tmp_path):
+    """A 1000-frame x 18-QP table held ~125 B per row as row tuples, and a
+    parse that split the whole text into lines first peaked at ~4.4 MiB
+    from a file and ~3.9 MiB from a string. As columns read line by line it
+    holds ~35 B per row, and the parse peaks at ~1.2 and ~1.7 MiB."""
+    rng = random.Random(1)
+    path = tmp_path / "table.csv"
+    with open(path, "w", encoding="utf-8") as table:
+        table.write("frame,qp,psnr_db,bits\n")
+        for frame in range(1000):
+            for qp in range(0, 52, 3):
+                psnr, bits = 52.0 - 0.4 * qp + rng.random(), 3e5 * rng.random()
+                table.write(f"{frame},{qp},{psnr:.6f},{bits:.3f}\n")
+    text = path.read_text(encoding="utf-8")
+    TraceTable.load(path)  # import and warm what a first load touches
+    for read, source, peak_bound in (
+        (TraceTable.load, path, 2.0),
+        (TraceTable.parse, text, 2.5),
+    ):
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            table = read(source)
+            resident, peak = (size - before for size in tracemalloc.get_traced_memory())
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert sum(len(entries) for entries in table.rows.values()) == 18_000
+        assert resident / 18_000 < 60
+        assert peak < peak_bound * 2**20
+        del table
