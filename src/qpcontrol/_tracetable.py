@@ -2,10 +2,9 @@
 
 A trace CSV has the header ``frame,qp,psnr_db,bits`` and one row per
 tabulated (frame, QP), strictly sorted by (frame, qp). ``TraceTable.load``
-reads a file line by line and ``TraceTable.parse`` reads a string; both
-give the same rows, line numbers and messages. A loaded table keeps each
-frame's QPs as a tuple of ints and its PSNR and bits in read-only float64
-columns, about 35 bytes per row.
+is the only parser: it reads the file line by line, by the rule that reads
+a config file. A loaded table keeps each frame's QPs as a tuple of ints
+and its PSNR and bits in read-only float64 columns, about 35 bytes per row.
 
 ``qpcontrol.plant`` re-exports ``TraceTable``. It lives apart because a
 process without bytecode compiles each module from source, and the
@@ -14,10 +13,9 @@ largest module's compile sets the CLI's peak memory.
 
 from __future__ import annotations
 
-import io
 import math
 from bisect import bisect_left
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -73,7 +71,7 @@ class TraceTable:
     ``rows[frame]`` is a read-only sequence of rows sorted by qp, held as a
     tuple of QPs and float64 PSNR and bits columns; lookups bisect the QPs.
     The constructor takes any sequences of rows and refuses, naming the
-    frame, what ``parse`` refuses in a line: QPs that do not strictly
+    frame, what ``load`` refuses in a line: QPs that do not strictly
     increase, a non-finite PSNR, and bits that are not finite and >= 0.
     Lookups are exact at tabulated QPs and linear in qp between them;
     anything outside the tabulated span raises TraceDomainError. The table
@@ -96,7 +94,11 @@ class TraceTable:
             for qp, psnr, bits in entries:
                 if frame_qps and qp <= frame_qps[-1]:
                     raise InputDomainError(f"frame {frame}: qps must strictly increase")
-                if not math.isfinite(psnr) or not math.isfinite(bits) or bits < 0:
+                try:
+                    bad = not math.isfinite(psnr) or not math.isfinite(bits) or bits < 0
+                except OverflowError:  # an int past the float range
+                    bad = True
+                if bad:
                     raise InputDomainError(f"frame {frame}: bad psnr/bits")
                 frame_qps.append(qp)
                 psnr_col.append(psnr)
@@ -110,61 +112,51 @@ class TraceTable:
         return type(self), (self.rows,)
 
     @classmethod
-    def parse(cls, text: str) -> "TraceTable":
-        # Through a UTF-8 stream, as ``load`` reads a file: the same line
-        # ends, and a copy of one byte per ASCII character, where a StringIO
-        # would hold four.
-        data = io.BytesIO(text.encode("utf-8", "surrogatepass"))
-        with io.TextIOWrapper(data, "utf-8", "surrogatepass") as lines:
-            return cls._read(lines)
-
-    @classmethod
     def load(cls, path: str | Path) -> "TraceTable":
-        with open(path, encoding="utf-8") as lines:
-            try:
-                return cls._read(lines)
-            except UnicodeDecodeError as exc:
-                raise InputDomainError(f"not UTF-8 text: {exc}") from exc
-
-    @classmethod
-    def _read(cls, lines: Iterator[str]) -> "TraceTable":
-        """Parse a trace CSV one line at a time. ``lines`` come split at
-        \\n, \\r and \\r\\n, each ending in \\n but perhaps the last. A
-        leading UTF-8 byte-order mark is skipped, as ``utf-8-sig`` would."""
+        """Parse a trace CSV one line at a time. As in a config file, lines
+        end at \\n, \\r and \\r\\n only, and a leading UTF-8 byte-order
+        mark is skipped."""
         from array import array
 
-        if next(lines, "").removeprefix("\ufeff").strip() != TRACE_HEADER:
-            raise InputDomainError(
-                f"trace table must start with header {TRACE_HEADER!r}"
-            )
         qps: dict[int, list[int]] = {}
         psnr_col, bits_col = array("d"), array("d")
         add_psnr, add_bits = psnr_col.append, bits_col.append
         prev_key = (-math.inf, -math.inf)  # sorts below every row
-        for lineno, line in enumerate(lines, start=2):
-            try:
-                frame, qp, psnr, bits = line.rstrip("\n").split(",")
-            except ValueError:
-                if not line.strip():  # a blank line has no commas
-                    continue
-                raise InputDomainError(f"trace line {lineno}: expected 4 fields") from None
-            try:
-                frame, qp, psnr, bits = int(frame), int(qp), float(psnr), float(bits)
-            except ValueError as exc:
-                raise InputDomainError(f"trace line {lineno}: {exc}") from exc
-            if not math.isfinite(psnr) or not math.isfinite(bits) or bits < 0:
-                raise InputDomainError(f"trace line {lineno}: bad psnr/bits")
-            key = (frame, qp)
-            if key <= prev_key:
-                raise InputDomainError(
-                    f"trace line {lineno}: rows must be strictly sorted by (frame, qp)"
-                )
-            if frame != prev_key[0]:
-                frame_qps = qps[frame] = []
-            prev_key = key
-            frame_qps.append(qp)
-            add_psnr(psnr)
-            add_bits(bits)
+        try:
+            with open(path, encoding="utf-8-sig") as lines:
+                if next(lines, "").strip() != TRACE_HEADER:
+                    raise InputDomainError(
+                        f"trace table must start with header {TRACE_HEADER!r}"
+                    )
+                for lineno, line in enumerate(lines, start=2):
+                    try:
+                        frame, qp, psnr, bits = line.rstrip("\n").split(",")
+                    except ValueError:
+                        if not line.strip():  # a blank line has no commas
+                            continue
+                        raise InputDomainError(
+                            f"trace line {lineno}: expected 4 fields"
+                        ) from None
+                    try:
+                        frame, qp, psnr, bits = int(frame), int(qp), float(psnr), float(bits)
+                    except ValueError as exc:
+                        raise InputDomainError(f"trace line {lineno}: {exc}") from exc
+                    if not math.isfinite(psnr) or not math.isfinite(bits) or bits < 0:
+                        raise InputDomainError(f"trace line {lineno}: bad psnr/bits")
+                    key = (frame, qp)
+                    if key <= prev_key:
+                        raise InputDomainError(
+                            f"trace line {lineno}: rows must be strictly sorted"
+                            " by (frame, qp)"
+                        )
+                    if frame != prev_key[0]:
+                        frame_qps = qps[frame] = []
+                    prev_key = key
+                    frame_qps.append(qp)
+                    add_psnr(psnr)
+                    add_bits(bits)
+        except UnicodeDecodeError as exc:
+            raise InputDomainError(f"not UTF-8 text: {exc}") from exc
         if not qps:
             raise InputDomainError("trace table has no data rows")
         return cls(_frame_rows(qps, psnr_col, bits_col))

@@ -1,11 +1,11 @@
 """Line-oriented experiment configuration with dotted keys.
 
-Grammar: one ``key = value`` assignment per line, ``#`` starts a comment,
-blank lines are ignored. Keys are dotted paths into the experiment
-configuration (``gains.kp``, ``plant.disturbance.seed``); unknown keys are
-rejected, never ignored. Absent keys take the dataclass field defaults. The
-same key syntax backs CLI ``--set`` overrides, and ``emit_config`` writes a file
-that parses back to an equal configuration.
+Grammar: one ``key = value`` per line, ``#`` starts a comment, blank lines
+are ignored. A file is read as a trace table is: UTF-8, a leading BOM
+skipped, lines ending at \\n, \\r and \\r\\n only. Keys are dotted paths
+(``gains.kp``, ``plant.disturbance.seed``); unknown keys are rejected, never
+ignored. Absent keys take the dataclass field defaults. Each CLI ``--set``
+is one such line, and ``emit_config`` writes a file that parses back equal.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def _load_trace(trace_path: str | None) -> TraceTable:
         raise ConfigError(f"{_TRACE_PATH}: trace file not found: {trace_file}")
     try:
         return TraceTable.load(trace_file)
-    except InputDomainError as exc:
+    except (InputDomainError, OSError) as exc:
         raise ConfigError(f"{_TRACE_PATH}: {exc}") from exc
 
 
@@ -144,13 +144,13 @@ _SECTIONS: tuple[tuple[str, str, Callable[..., object]], ...] = (
 )
 
 
-def _parse_lines(text: str, source: str) -> dict[str, object]:
+def _parse_lines(lines: Iterable[str], source: str) -> dict[str, object]:
     values: dict[str, object] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        if "=" not in stripped:
+        if "=" not in stripped or "\n" in stripped or "\r" in stripped:
             raise ConfigError(
                 f"{source}:{lineno}: expected 'key = value', got {line.strip()!r}"
             )
@@ -202,20 +202,22 @@ def parse_configs(
         if not file_path.is_file():
             raise ConfigError(f"config file not found: {file_path}")
         try:
-            text = file_path.read_text(encoding="utf-8-sig")
+            with open(file_path, encoding="utf-8-sig") as lines:
+                kv.update(_parse_lines(lines, str(file_path)))
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{file_path}: not UTF-8 text: {exc}") from exc
-        kv.update(_parse_lines(text, str(file_path)))
+        except OSError as exc:
+            raise ConfigError(f"{file_path}: {exc}") from exc
 
     for i, line in enumerate(overrides):
-        kv.update(_parse_lines(line, f"override[{i}]"))
+        kv.update(_parse_lines((line,), f"override[{i}]"))
 
     trace_table = cache(_load_trace)  # one load per path, for this call only
     configs = []
     for point in points:
         point_kv = dict(kv)
         for i, line in enumerate(point, start=len(overrides)):
-            point_kv.update(_parse_lines(line, f"override[{i}]"))
+            point_kv.update(_parse_lines((line,), f"override[{i}]"))
         configs.append(_build(point_kv, trace_table))
     return configs
 
@@ -232,15 +234,14 @@ def emit_config(config: ExperimentConfig) -> str:
 
     Raises ConfigError naming ``plant.trace_path`` when a trace-driven plant
     has none, or when the path would not parse back as itself: it holds a
-    ``#`` or a line break, has leading or trailing whitespace, or is the
-    word ``none``.
+    ``#``, \\n or \\r, has leading or trailing whitespace, or is the word
+    ``none``.
     """
     trace_path = config.plant.trace_path
     if config.plant.kind is PlantKind.TRACE_DRIVEN and trace_path is None:
         raise ConfigError(f"{_TRACE_PATH}: required to serialize a trace_driven plant")
     if trace_path is not None and (
-        "#" in trace_path
-        or len(trace_path.splitlines()) > 1
+        any(char in trace_path for char in "#\n\r")
         or trace_path != trace_path.strip()
         or trace_path == "none"
     ):

@@ -91,7 +91,9 @@ class PlantModel:
                 f"psnr_slope must be finite and > 0, got {self.psnr_slope!r}"
             )
         if not math.isfinite(self.psnr_intercept):
-            raise InputDomainError("psnr_intercept must be finite")
+            raise InputDomainError(
+                f"psnr_intercept must be finite, got {self.psnr_intercept!r}"
+            )
         if not (0.0 <= self.inertia < 1.0):
             raise InputDomainError(f"inertia must be in [0, 1), got {self.inertia!r}")
         if not (math.isfinite(self.rate_ref_bits) and self.rate_ref_bits >= 0):

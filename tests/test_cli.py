@@ -1,5 +1,8 @@
 """CLI tests: subcommand behaviour, file emission, exit codes."""
 
+import builtins
+import errno
+import io
 import json
 import os
 import subprocess
@@ -53,6 +56,20 @@ def run_cli(*args):
 
 def as_set(overrides):
     return [arg for override in overrides for arg in ("--set", override)]
+
+
+def deny_reads(monkeypatch, path):
+    """Make opening ``path`` fail as it does for a file without read
+    permission; chmod cannot show this, as root reads through mode bits."""
+    real_open = builtins.open
+
+    def guarded_open(file, *args, **kwargs):
+        if os.fspath(file) == os.fspath(path):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(file))
+        return real_open(file, *args, **kwargs)
+
+    for module in (builtins, io):  # whichever name a reader opens by
+        monkeypatch.setattr(module, "open", guarded_open)
 
 
 def impulse_trace(path, psnrs):
@@ -491,6 +508,22 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: {key} ")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "plant.psnr_intercept=inf",
+            "plant.psnr_intercept=nan",
+            "plant.disturbance.amplitude=nan",
+            "plant.disturbance.amplitude=-inf",
+        ],
+    )
+    def test_a_non_finite_value_exits_two_naming_its_key(self, tmp_path, capsys, override):
+        key, value = override.split("=")
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--out", out, "--set", override) == 2
+        assert capsys.readouterr().err == f"error: {key} must be finite, got {value}\n"
+        assert not out.exists()
+
     def test_trace_shorter_than_the_run_exits_two(self, tmp_path, capsys):
         # the trace covers frames 0..1 only, so the config fails at load
         trace = tmp_path / "short.csv"
@@ -761,6 +794,47 @@ class TestExitCodes:
         assert run_cli("simulate", "--out", out, *as_set(overrides)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: plant.trace_path: not UTF-8 text: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("unreadable", ["config", "trace"])
+    def test_an_input_that_cannot_be_read_exits_two(
+        self, tmp_path, capsys, monkeypatch, unreadable
+    ):
+        config, trace = tmp_path / "run.cfg", tmp_path / "trace.csv"
+        trace.write_text(TRACE_TEXT)
+        config.write_text(
+            f"plant.kind = trace_driven\nplant.trace_path = {trace}\nn_frames = 2\n"
+        )
+        deny_reads(monkeypatch, config if unreadable == "config" else trace)
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", config, "--out", out) == 2
+        err = capsys.readouterr().err
+        prefix = f"{config}: " if unreadable == "config" else "plant.trace_path: "
+        assert err.startswith(f"error: {prefix}")
+        assert "Permission denied" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("char", ["\v", "\f", "\x85", "\u2028"])
+    def test_only_cr_and_lf_end_a_config_line(self, tmp_path, capsys, char):
+        config = tmp_path / "one_line.cfg"
+        config.write_text(f"n_frames = 20{char}gains.kp = 2\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", config, "--out", out) == 2
+        assert capsys.readouterr().err.startswith("error: n_frames: expected an integer")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("newline", ["\n", "\r", "\r\n"])
+    @pytest.mark.parametrize(
+        "command, option", [("simulate", "--set"), ("sweep", "--grid")]
+    )
+    def test_an_assignment_holding_a_line_break_exits_two(
+        self, tmp_path, capsys, command, option, newline
+    ):
+        out = tmp_path / "out"
+        assignment = f"gains.kp=1{newline}n_frames=20"
+        assert run_cli(command, "--out", out, option, assignment) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: override[0]:1: expected 'key = value'")
         assert not out.exists()
 
     def test_a_config_file_with_a_utf8_bom_is_read(self, tmp_path, capsys):

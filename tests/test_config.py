@@ -20,6 +20,9 @@ TRACE_TEXT = """frame,qp,psnr_db,bits
 1,30,37.500,480000
 1,40,33.500,190000
 """
+NEWLINES = st.sampled_from(["\n", "\r", "\r\n"])
+# What str.splitlines() also splits at; only \n, \r and \r\n end a line.
+NOT_NEWLINES = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
 class TestDefaults:
@@ -282,17 +285,27 @@ class TestRoundTrip:
             "a.csv ",
             "a\nb.csv",
             "a\rb.csv",
-            "a\x85b.csv",
             "none",
             None,  # a trace-driven plant needs a path to serialize at all
         ],
     )
-    def test_emit_refuses_a_trace_path_that_would_not_parse_back(self, trace_path):
-        trace = TraceTable.parse(TRACE_TEXT)
+    def test_emit_refuses_a_trace_path_that_would_not_parse_back(
+        self, trace_file, trace_path
+    ):
+        trace = TraceTable.load(trace_file)
         plant = PlantModel.trace_driven(trace, trace_path=trace_path)
         config = ExperimentConfig(plant=plant, objective=ControlObjective(), n_frames=2)
         with pytest.raises(ConfigError, match="plant.trace_path"):
             emit_config(config)
+
+    @pytest.mark.parametrize("char", NOT_NEWLINES)
+    def test_a_trace_path_holding_what_is_not_a_line_end_round_trips(
+        self, tmp_path, char
+    ):
+        config = parse_config(None, [f"plant.trace_path=a{char}b.csv"])
+        path = tmp_path / "emitted.cfg"
+        path.write_text(emit_config(config), encoding="utf-8")
+        assert parse_config(path) == config
 
 
 finite = st.floats(min_value=-1e3, max_value=1e3)
@@ -347,16 +360,41 @@ def test_emit_parse_round_trip_over_random_configs(trace_file, values, trace_fra
                 "n_frames": trace_frames,
             },
         )
-    def render(value):
-        if value is None:
-            return "none"
-        return value if isinstance(value, str) else repr(value)
-
     overrides = [f"{key}={render(value)}" for key, value in values.items()]
     config = parse_config(None, overrides)
     text = emit_config(config)
     assert parse_config_from_text(text) == config
     assert emit_config(parse_config_from_text(text)) == text
+
+
+@given(
+    values=SYNTHETIC_CONFIG,
+    char=st.sampled_from(NOT_NEWLINES),
+    bom=st.booleans(),
+    data=st.data(),
+)
+def test_a_config_file_reads_as_its_lf_form_at_any_line_ends(
+    tmp_path_factory, values, char, bom, data
+):
+    # The comment would set an unknown key, and fail, were char a line end.
+    lines = [f"# a note{char}no.such.key = 0", ""]
+    lines += [f"{key} = {render(value)}" for key, value in values.items()]
+    ends = data.draw(st.lists(NEWLINES, min_size=len(lines), max_size=len(lines)))
+    mixed = ("\ufeff" if bom else "") + "".join(
+        line + end for line, end in zip(lines, ends)
+    )
+    path = tmp_path_factory.getbasetemp() / "line_ends.cfg"
+    path.write_bytes(mixed.encode())
+    lf_path = tmp_path_factory.getbasetemp() / "lf.cfg"
+    lf_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    overrides = [f"{key}={render(value)}" for key, value in values.items()]
+    assert parse_config(path) == parse_config(lf_path) == parse_config(None, overrides)
+
+
+def render(value):
+    if value is None:
+        return "none"
+    return value if isinstance(value, str) else repr(value)
 
 
 def parse_config_from_text(text):

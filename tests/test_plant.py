@@ -36,6 +36,17 @@ TRACE_TEXT = """frame,qp,psnr_db,bits
 """
 
 
+def load_text(path, text):
+    """Write ``text`` to ``path`` as UTF-8 and load it as a trace table."""
+    path.write_text(text, encoding="utf-8")
+    return TraceTable.load(path)
+
+
+@pytest.fixture
+def table(tmp_path):
+    return load_text(tmp_path / "trace.csv", TRACE_TEXT)
+
+
 class TestSyntheticResponse:
     def test_zero_order_value(self):
         plant = PlantModel.zero_order(psnr_intercept=50.0, psnr_slope=0.4)
@@ -282,26 +293,22 @@ class TestValidation:
 
 
 class TestTraceTable:
-    def test_exact_at_tabulated_qps(self):
-        table = TraceTable.parse(TRACE_TEXT)
+    def test_exact_at_tabulated_qps(self, table):
         assert table.lookup(0, 30) == (38.0, 500000.0)
         assert table.lookup(1, 40) == (33.5, 190000.0)
 
-    def test_linear_interpolation_between_qps(self):
-        table = TraceTable.parse(TRACE_TEXT)
+    def test_linear_interpolation_between_qps(self, table):
         psnr, bits = table.lookup(0, 35)
         assert psnr == pytest.approx(36.0)
         assert bits == pytest.approx(350000.0)
 
-    def test_out_of_span_qp(self):
-        table = TraceTable.parse(TRACE_TEXT)
+    def test_out_of_span_qp(self, table):
         with pytest.raises(TraceDomainError):
             table.lookup(0, 29)
         with pytest.raises(TraceDomainError):
             table.lookup(0, 41)
 
-    def test_missing_frame(self):
-        table = TraceTable.parse(TRACE_TEXT)
+    def test_missing_frame(self, table):
         with pytest.raises(TraceDomainError):
             table.lookup(3, 30)
 
@@ -309,14 +316,14 @@ class TestTraceTable:
         with pytest.raises(InputDomainError, match="frame 0 has no rows"):
             TraceTable({0: []})
 
-    def test_header_required(self):
+    def test_header_required(self, tmp_path):
         with pytest.raises(InputDomainError):
-            TraceTable.parse("frame,qp,psnr,bits\n0,30,38.0,100\n")
+            load_text(tmp_path / "t.csv", "frame,qp,psnr,bits\n0,30,38.0,100\n")
 
-    def test_rows_must_be_sorted(self):
+    def test_rows_must_be_sorted(self, tmp_path):
         bad = "frame,qp,psnr_db,bits\n0,40,34.000,200000\n0,30,38.000,500000\n"
         with pytest.raises(InputDomainError):
-            TraceTable.parse(bad)
+            load_text(tmp_path / "t.csv", bad)
 
     @pytest.mark.parametrize(
         "row, message",
@@ -326,22 +333,21 @@ class TestTraceTable:
             ("x,1,2,3", "trace line 2: invalid literal for int() with base 10: 'x'"),
             ("0,30,nan,500000.0", "trace line 2: bad psnr/bits"),
             ("0,30,38.0,-1", "trace line 2: bad psnr/bits"),
-            ("0,30,\ud800,1", "trace line 2: could not convert string to float: '\\ud800'"),
+            ("0,30,38.0,\x85", "trace line 2: could not convert string to float: '\\x85'"),
             ("0,30,38.0,abc", "trace line 2: could not convert string to float: 'abc'"),
             ("", "trace table has no data rows"),
         ],
     )
-    def test_a_bad_data_row_is_rejected_naming_its_line(self, row, message):
+    def test_a_bad_data_row_is_rejected_naming_its_line(self, tmp_path, row, message):
         with pytest.raises(InputDomainError) as info:
-            TraceTable.parse(f"frame,qp,psnr_db,bits\n{row}\n")
+            load_text(tmp_path / "t.csv", f"frame,qp,psnr_db,bits\n{row}\n")
         assert str(info.value) == message
 
-    def test_blank_data_lines_are_skipped(self):
+    def test_blank_data_lines_are_skipped(self, tmp_path, table):
         spaced = TRACE_TEXT.replace("\n1,30", "\n\n  \n1,30")
-        assert TraceTable.parse(spaced) == TraceTable.parse(TRACE_TEXT)
+        assert load_text(tmp_path / "spaced.csv", spaced) == table
 
-    def test_table_is_deeply_immutable(self):
-        table = TraceTable.parse(TRACE_TEXT)
+    def test_table_is_deeply_immutable(self, table):
         with pytest.raises(dataclasses.FrozenInstanceError):
             table.rows = {}
         entries = table.rows[0]
@@ -377,22 +383,23 @@ class TestTraceTable:
             ([(30, 38.0, math.inf)], "frame 7: bad psnr/bits"),
             ([(30, 38.0, math.nan)], "frame 7: bad psnr/bits"),
             ([(30, 38.0, -5e-324)], "frame 7: bad psnr/bits"),
+            ([(30, 10**400, 5e5)], "frame 7: bad psnr/bits"),
+            ([(30, -(10**400), 5e5)], "frame 7: bad psnr/bits"),
+            ([(30, 38.0, 10**400)], "frame 7: bad psnr/bits"),
         ],
     )
-    def test_the_constructor_refuses_what_parse_refuses(self, rows, message):
+    def test_the_constructor_refuses_what_load_refuses(self, rows, message):
         with pytest.raises(InputDomainError) as info:
             TraceTable({0: [(30, 38.0, 5e5)], 7: rows})
         assert str(info.value) == message
 
-    def test_rows_taken_from_a_table_join_new_rows(self):
-        table = TraceTable.parse(TRACE_TEXT)
+    def test_rows_taken_from_a_table_join_new_rows(self, table):
         grown = TraceTable({**table.rows, 3: [(30, 37.0, 460000.0)]})
         assert grown.rows[0] is table.rows[0]
         assert grown.lookup(1, 35) == table.lookup(1, 35)
         assert grown.lookup(3, 30) == (37.0, 460000.0)
 
-    def test_step_reads_table_verbatim(self):
-        table = TraceTable.parse(TRACE_TEXT)
+    def test_step_reads_table_verbatim(self, table):
         noisy = DisturbanceSpec(
             kind=DisturbanceKind.SEEDED_NOISE, amplitude=5.0, seed=7
         )
@@ -400,8 +407,8 @@ class TestTraceTable:
         outcome = step_plant(plant, 30, 0)
         assert (outcome.psnr, outcome.bits) == (38.0, 500000.0)
 
-    def test_step_interpolates_and_errors_out_of_bounds(self):
-        plant = PlantModel.trace_driven(TraceTable.parse(TRACE_TEXT))
+    def test_step_interpolates_and_errors_out_of_bounds(self, table):
+        plant = PlantModel.trace_driven(table)
         assert step_plant(plant, 35, 1).psnr == pytest.approx(35.5)
         with pytest.raises(TraceDomainError):
             step_plant(plant, 32, 9)
@@ -481,25 +488,35 @@ def trace_tables(draw):
     return rows
 
 
-@given(
-    rows=trace_tables(),
-    newline=st.sampled_from(["\n", "\r\n"]),
-    bom=st.booleans(),
-    blanks=st.lists(st.sampled_from(["", " ", "\t"]), max_size=3),
-)
-def test_load_parse_and_the_constructor_agree(tmp_path_factory, rows, newline, bom, blanks):
-    lines = ["frame,qp,psnr_db,bits"] + [
+def trace_lines(rows):
+    return ["frame,qp,psnr_db,bits"] + [
         f"{frame},{qp},{psnr!r},{bits!r}"
         for frame, entries in rows.items()
         for qp, psnr, bits in entries
     ]
+
+
+NEWLINES = st.sampled_from(["\n", "\r", "\r\n"])
+# What str.splitlines() also splits at; only \n, \r and \r\n end a line.
+NOT_NEWLINES = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@given(
+    rows=trace_tables(),
+    bom=st.booleans(),
+    blanks=st.lists(st.sampled_from(["", " ", "\t"]), max_size=3),
+    data=st.data(),
+)
+def test_load_and_the_constructor_agree(tmp_path_factory, rows, bom, blanks, data):
+    lines = trace_lines(rows)
     for i, blank in enumerate(blanks):
         lines.insert(1 + i * len(lines) // len(blanks), blank)
-    data = (("\ufeff" if bom else "") + newline.join(lines) + newline).encode()
+    ends = data.draw(st.lists(NEWLINES, min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
     path = tmp_path_factory.getbasetemp() / "property.csv"
-    path.write_bytes(data)
-    tables = [TraceTable.load(path), TraceTable.parse(data.decode()), TraceTable(rows)]
-    assert tables[0] == tables[1] == tables[2]
+    path.write_bytes((("\ufeff" if bom else "") + text).encode())
+    tables = [TraceTable.load(path), TraceTable(rows)]
+    assert tables[0] == tables[1]
     qps = [qp for entries in rows.values() for qp, _, _ in entries]
     for frame in [*rows, max(rows) + 1]:
         for qp in range(min(qps) - 2, max(qps) + 3):
@@ -507,11 +524,28 @@ def test_load_parse_and_the_constructor_agree(tmp_path_factory, rows, newline, b
             assert len(outcomes) == 1
 
 
+@given(
+    rows=trace_tables(),
+    char=st.sampled_from(NOT_NEWLINES),
+    newline=NEWLINES,
+    bom=st.booleans(),
+)
+def test_no_other_character_ends_a_trace_line(tmp_path_factory, rows, char, newline, bom):
+    lines = trace_lines(rows)
+    lines[1] += char + lines[1]  # two rows out of order, were it a line end
+    text = ("\ufeff" if bom else "") + newline.join(lines) + newline
+    path = tmp_path_factory.getbasetemp() / "one_line.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(InputDomainError) as info:
+        TraceTable.load(path)
+    assert str(info.value) == "trace line 2: expected 4 fields"
+
+
 def test_a_loaded_table_keeps_its_rows_compact(tmp_path):
     """A 1000-frame x 18-QP table held ~125 B per row as row tuples, and a
-    parse that split the whole text into lines first peaked at ~4.4 MiB
-    from a file and ~3.9 MiB from a string. As columns read line by line it
-    holds ~35 B per row, and the parse peaks at ~1.2 and ~1.7 MiB."""
+    parse that split the whole text into lines first peaked at ~4.4 MiB.
+    As columns read line by line it holds ~35 B per row, and the parse
+    peaks at ~1.2 MiB."""
     rng = random.Random(1)
     path = tmp_path / "table.csv"
     with open(path, "w", encoding="utf-8") as table:
@@ -520,23 +554,17 @@ def test_a_loaded_table_keeps_its_rows_compact(tmp_path):
             for qp in range(0, 52, 3):
                 psnr, bits = 52.0 - 0.4 * qp + rng.random(), 3e5 * rng.random()
                 table.write(f"{frame},{qp},{psnr:.6f},{bits:.3f}\n")
-    text = path.read_text(encoding="utf-8")
     TraceTable.load(path)  # import and warm what a first load touches
-    for read, source, peak_bound in (
-        (TraceTable.load, path, 2.0),
-        (TraceTable.parse, text, 2.5),
-    ):
-        tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            table = read(source)
-            resident, peak = (size - before for size in tracemalloc.get_traced_memory())
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        assert sum(len(entries) for entries in table.rows.values()) == 18_000
-        assert resident / 18_000 < 60
-        assert peak < peak_bound * 2**20
-        del table
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        table = TraceTable.load(path)
+        resident, peak = (size - before for size in tracemalloc.get_traced_memory())
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert sum(len(entries) for entries in table.rows.values()) == 18_000
+    assert resident / 18_000 < 60
+    assert peak < 2.0 * 2**20
