@@ -49,30 +49,16 @@ class _FrameRows(Sequence):
     def __repr__(self) -> str:
         return repr(tuple(self))
 
-    def __reduce__(self):
-        return tuple, (tuple(self),)
 
-
-def _frame_rows(qps: dict[int, list[int]], psnr, bits) -> dict[int, _FrameRows]:
-    """Freeze float64 columns filled frame by frame, in ``qps`` order."""
-    psnr = memoryview(psnr.tobytes()).cast("d")
-    bits = memoryview(bits.tobytes()).cast("d")
-    rows, start = {}, 0
-    for frame, frame_qps in qps.items():
-        rows[frame] = _FrameRows(tuple(frame_qps), start, psnr, bits)
-        start += len(frame_qps)
-    return rows
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TraceTable:
     """Per-frame (qp, psnr, bits) rows parsed from a trace CSV.
 
     ``rows[frame]`` is a read-only sequence of rows sorted by qp, held as a
     tuple of QPs and float64 PSNR and bits columns; lookups bisect the QPs.
-    The constructor takes any sequences of rows and refuses, naming the
-    frame, what ``load`` refuses in a line: QPs that do not strictly
-    increase, a non-finite PSNR, and bits that are not finite and >= 0.
+    ``load`` builds every table and checks every row. The constructor takes
+    no rows, only the columns ``load`` fills: each frame's QPs, in frame
+    order, and all rows' PSNR and bits, in that order, as float64 bytes.
     Lookups are exact at tabulated QPs and linear in qp between them;
     anything outside the tabulated span raises TraceDomainError. The table
     is frozen, so one table may back any number of plants and runs.
@@ -80,36 +66,20 @@ class TraceTable:
 
     rows: dict[int, Sequence[tuple[int, float, float]]]
 
-    def __post_init__(self) -> None:
-        from array import array  # loaded by the first table, not at import
-
-        rows, qps = dict(self.rows), {}
-        psnr_col, bits_col = array("d"), array("d")
-        for frame, entries in rows.items():
-            if type(entries) is _FrameRows:  # checked by the table it came from
-                continue
-            if not entries:
-                raise InputDomainError(f"frame {frame} has no rows")
-            frame_qps = qps[frame] = []
-            for qp, psnr, bits in entries:
-                if frame_qps and qp <= frame_qps[-1]:
-                    raise InputDomainError(f"frame {frame}: qps must strictly increase")
-                try:
-                    bad = not math.isfinite(psnr) or not math.isfinite(bits) or bits < 0
-                except OverflowError:  # an int past the float range
-                    bad = True
-                if bad:
-                    raise InputDomainError(f"frame {frame}: bad psnr/bits")
-                frame_qps.append(qp)
-                psnr_col.append(psnr)
-                bits_col.append(bits)
-        rows.update(_frame_rows(qps, psnr_col, bits_col))
+    def __init__(self, qps: dict[int, Sequence[int]], psnr: bytes, bits: bytes) -> None:
+        psnr_col, bits_col = memoryview(psnr).cast("d"), memoryview(bits).cast("d")
+        rows, start = {}, 0
+        for frame, frame_qps in qps.items():
+            rows[frame] = _FrameRows(tuple(frame_qps), start, psnr_col, bits_col)
+            start += len(frame_qps)
         object.__setattr__(self, "rows", rows)
 
     def __reduce__(self):
-        # Memoryviews do not pickle: the frames go as row tuples, and the
-        # constructor rebuilds the columns.
-        return type(self), (self.rows,)
+        # Memoryviews do not pickle: a table goes as its QP tuples and the
+        # bytes under its two columns.
+        columns = next(iter(self.rows.values()))
+        qps = {frame: entries.qps for frame, entries in self.rows.items()}
+        return type(self), (qps, columns.psnr.obj, columns.bits.obj)
 
     @classmethod
     def load(cls, path: str | Path) -> "TraceTable":
@@ -159,7 +129,7 @@ class TraceTable:
             raise InputDomainError(f"not UTF-8 text: {exc}") from exc
         if not qps:
             raise InputDomainError("trace table has no data rows")
-        return cls(_frame_rows(qps, psnr_col, bits_col))
+        return cls(qps, psnr_col.tobytes(), bits_col.tobytes())
 
     def lookup(self, frame_index: int, qp: int) -> tuple[float, float]:
         entries = self.rows.get(frame_index)

@@ -5,7 +5,8 @@ are ignored. A file is read as a trace table is: UTF-8, a leading BOM
 skipped, lines ending at \\n, \\r and \\r\\n only. Keys are dotted paths
 (``gains.kp``, ``plant.disturbance.seed``); unknown keys are rejected, never
 ignored. Absent keys take the dataclass field defaults. Each CLI ``--set``
-is one such line, and ``emit_config`` writes a file that parses back equal.
+is one such line, whose value may not hold a ``#``, and ``emit_config``
+writes a file that parses back equal.
 """
 
 from __future__ import annotations
@@ -161,6 +162,14 @@ def _parse_lines(lines: Iterable[str], source: str) -> dict[str, object]:
     return values
 
 
+def _parse_override(line: str, i: int) -> dict[str, object]:
+    # As a config line, an override would lose what follows a '#'.
+    key, _, raw = line.partition("=")
+    if "#" in raw:
+        raise ConfigError(f"{key.strip()}: a command-line value cannot hold '#'")
+    return _parse_lines((line,), f"override[{i}]")
+
+
 def _build(
     kv: dict[str, object], trace_table: Callable[[str | None], TraceTable]
 ) -> ExperimentConfig:
@@ -189,7 +198,8 @@ def parse_configs(
     ``overrides`` entries are ``key=value`` strings applied after the file,
     in order, and each point is a sequence of them applied after
     ``overrides``, on a copy of the file's values; error messages number
-    the two as one list, ``override[i]``. Keys set nowhere take the
+    the two as one list, ``override[i]``; a ``#`` in the value of either
+    raises ConfigError naming the key. Keys set nowhere take the
     dataclass field's default. A missing or non-UTF-8 file, a malformed
     line, an unknown key or an invariant violation raises ConfigError,
     naming the offending key, before any configuration is returned. Each
@@ -210,14 +220,14 @@ def parse_configs(
             raise ConfigError(f"{file_path}: {exc}") from exc
 
     for i, line in enumerate(overrides):
-        kv.update(_parse_lines((line,), f"override[{i}]"))
+        kv.update(_parse_override(line, i))
 
     trace_table = cache(_load_trace)  # one load per path, for this call only
     configs = []
     for point in points:
         point_kv = dict(kv)
         for i, line in enumerate(point, start=len(overrides)):
-            point_kv.update(_parse_lines((line,), f"override[{i}]"))
+            point_kv.update(_parse_override(line, i))
         configs.append(_build(point_kv, trace_table))
     return configs
 

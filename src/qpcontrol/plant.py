@@ -39,7 +39,7 @@ from .disturbance import (  # DisturbanceKind is re-exported
     disturbance_column,
 )
 from .errors import InputDomainError
-from ._tracetable import TRACE_HEADER, TraceTable  # re-exported
+from ._tracetable import TraceTable  # re-exported
 
 
 class PlantKind(Enum):

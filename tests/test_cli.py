@@ -837,6 +837,29 @@ class TestExitCodes:
         assert err.startswith("error: override[0]:1: expected 'key = value'")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, args, key",
+        [
+            (
+                "simulate",
+                ["--set", "kind_pattern=intra#every", "--set", "n_frames=5"],
+                "kind_pattern",
+            ),
+            ("sweep", ["--grid", "kind_pattern=intra#x,inter"], "kind_pattern"),
+        ],
+        ids=["set", "grid"],
+    )
+    def test_a_hash_in_a_command_line_value_exits_two(
+        self, tmp_path, capsys, command, args, key
+    ):
+        # As a config line, the value would be cut at the '#' and run as
+        # something else.
+        out = tmp_path / "out"
+        assert run_cli(command, "--out", out, *args) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {key}: a command-line value cannot hold '#'\n"
+        assert not out.exists()
+
     def test_a_config_file_with_a_utf8_bom_is_read(self, tmp_path, capsys):
         config = tmp_path / "bom.cfg"
         config.write_bytes(b"\xef\xbb\xbfn_frames = 20\n")

@@ -210,6 +210,12 @@ class TestParseConfigs:
             parse_configs(None, ["gains.kp=1"], [["gains.ki=0.2"], ["nope=1"]])
         assert "override[1]" in str(excinfo.value)
 
+    def test_a_hash_in_an_override_value_is_refused(self):
+        # As a config line, the value would read as "runs".
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(None, ["plant.trace_path=runs#1.csv"])
+        assert str(excinfo.value) == "plant.trace_path: a command-line value cannot hold '#'"
+
     def test_nothing_is_cached_between_calls(self, tmp_path):
         trace_path = tmp_path / "trace.csv"
         trace_path.write_text(TRACE_TEXT)

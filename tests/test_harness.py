@@ -184,6 +184,33 @@ class TestClosedLoop:
             assert current.error == pytest.approx(expected, rel=1e-12)
 
 
+def test_the_intra_policy_at_the_default_gains():
+    """The README's account of ``intra_every:N`` and ``intra``: the loop is
+    stable with its intra frames' steady state above QP 51, so the clamp
+    holds them at 51; on every frame the policy is unstable."""
+    kind_at = parse_kind_pattern("intra_every:12")
+    common = ["objective.target_psnr=36", "kind_pattern=intra_every:12"]
+    unclamped = ["range.qp_min=-1000", "range.qp_max=1000", "n_frames=1200"]
+    for overrides, tail, intra_qps, inter_span in [
+        (common + unclamped, 120, {69, 70, 71, 72}, (18, 39)),
+        (common, 299, {51}, (27, 37)),
+    ]:
+        records = run_closed_loop(parse_config(None, overrides))[-tail:]
+        inter = [r.qp for r in records if kind_at(r.frame) is FrameKind.INTER]
+        assert {r.qp for r in records if kind_at(r.frame) is FrameKind.INTRA} == intra_qps
+        assert (min(inter), max(inter)) == inter_span
+    step = [
+        "kind_pattern=intra",
+        "plant.disturbance.kind=step",
+        "plant.disturbance.amplitude=2.0",
+        "plant.disturbance.step_frame=100",
+    ]
+    after_step = [r.qp for r in run_closed_loop(parse_config(None, step))[100:]]
+    at_bounds = [qp for qp in after_step if qp in (0, 51)]
+    assert len(after_step) == 200 and {0, 51} == set(at_bounds)
+    assert len(at_bounds) >= 0.95 * len(after_step)
+
+
 class TestFixedQp:
     def test_constant_quality_without_disturbance(self):
         config = ExperimentConfig(

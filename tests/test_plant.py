@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import math
+import pickle
 import random
 import tracemalloc
 
@@ -25,6 +26,7 @@ from qpcontrol.plant import (
     rate_model,
     step_plant,
 )
+from trace_rows import table_from_rows, trace_lines
 
 TRACE_TEXT = """frame,qp,psnr_db,bits
 0,30,38.000,500000
@@ -312,18 +314,30 @@ class TestTraceTable:
         with pytest.raises(TraceDomainError):
             table.lookup(3, 30)
 
-    def test_a_frame_without_rows_is_rejected(self):
-        with pytest.raises(InputDomainError, match="frame 0 has no rows"):
-            TraceTable({0: []})
+    def test_a_table_is_not_built_from_rows(self):
+        with pytest.raises(TypeError):
+            TraceTable({0: [(30, 38.0, 500000.0)]})
 
     def test_header_required(self, tmp_path):
         with pytest.raises(InputDomainError):
             load_text(tmp_path / "t.csv", "frame,qp,psnr,bits\n0,30,38.0,100\n")
 
-    def test_rows_must_be_sorted(self, tmp_path):
-        bad = "frame,qp,psnr_db,bits\n0,40,34.000,200000\n0,30,38.000,500000\n"
-        with pytest.raises(InputDomainError):
-            load_text(tmp_path / "t.csv", bad)
+    @pytest.mark.parametrize(
+        "rows, lineno",
+        [
+            (["0,40,34.0,2e5", "0,30,38.0,5e5"], 3),
+            (["1,30,37.5,4.8e5", "0,30,38.0,5e5"], 3),
+            (["0,30,38.0,5e5", "0,30,37.0,4e5"], 3),
+            (["0,30,38.0,5e5", "1,30,37.5,4.8e5", "0,40,34.0,2e5"], 4),
+        ],
+        ids=["qp_backwards", "frame_backwards", "repeated_row", "frame_resumed"],
+    )
+    def test_rows_must_be_sorted(self, tmp_path, rows, lineno):
+        with pytest.raises(InputDomainError) as info:
+            load_text(tmp_path / "t.csv", "\n".join(["frame,qp,psnr_db,bits", *rows]))
+        assert str(info.value) == (
+            f"trace line {lineno}: rows must be strictly sorted by (frame, qp)"
+        )
 
     @pytest.mark.parametrize(
         "row, message",
@@ -361,43 +375,13 @@ class TestTraceTable:
 
     def test_rows_read_as_a_sequence_of_row_tuples(self):
         rows = [(30, 38.0, 500000.0), (40, 34.0, 200000.0)]
-        entries = TraceTable({0: rows}).rows[0]
+        entries = table_from_rows({0: rows}).rows[0]
         assert len(entries) == 2
         assert (entries[-1], entries[0:1]) == (rows[-1], (rows[0],))
         assert list(entries) == rows and entries == tuple(rows)
         assert repr(entries) == repr(tuple(rows))
         with pytest.raises(IndexError):
             entries[2]
-
-    def test_the_constructor_stores_psnr_and_bits_as_floats(self):
-        entries = TraceTable({0: [(30, 38, 500000)]}).rows[0]
-        assert [type(value) for value in entries[0]] == [int, float, float]
-
-    @pytest.mark.parametrize(
-        "rows, message",
-        [
-            ([(40, 34.0, 2e5), (30, 38.0, 5e5)], "frame 7: qps must strictly increase"),
-            ([(30, 38.0, 5e5), (30, 37.0, 4e5)], "frame 7: qps must strictly increase"),
-            ([(30, math.nan, 5e5)], "frame 7: bad psnr/bits"),
-            ([(30, -math.inf, 5e5)], "frame 7: bad psnr/bits"),
-            ([(30, 38.0, math.inf)], "frame 7: bad psnr/bits"),
-            ([(30, 38.0, math.nan)], "frame 7: bad psnr/bits"),
-            ([(30, 38.0, -5e-324)], "frame 7: bad psnr/bits"),
-            ([(30, 10**400, 5e5)], "frame 7: bad psnr/bits"),
-            ([(30, -(10**400), 5e5)], "frame 7: bad psnr/bits"),
-            ([(30, 38.0, 10**400)], "frame 7: bad psnr/bits"),
-        ],
-    )
-    def test_the_constructor_refuses_what_load_refuses(self, rows, message):
-        with pytest.raises(InputDomainError) as info:
-            TraceTable({0: [(30, 38.0, 5e5)], 7: rows})
-        assert str(info.value) == message
-
-    def test_rows_taken_from_a_table_join_new_rows(self, table):
-        grown = TraceTable({**table.rows, 3: [(30, 37.0, 460000.0)]})
-        assert grown.rows[0] is table.rows[0]
-        assert grown.lookup(1, 35) == table.lookup(1, 35)
-        assert grown.lookup(3, 30) == (37.0, 460000.0)
 
     def test_step_reads_table_verbatim(self, table):
         noisy = DisturbanceSpec(
@@ -414,10 +398,10 @@ class TestTraceTable:
             step_plant(plant, 32, 9)
 
 
-def linear_lookup(table, frame_index, qp):
+def linear_lookup(rows, frame_index, qp):
     """The lookup as a linear scan of the frame's rows: the reference the
     bisecting lookup must match bit for bit, errors included."""
-    entries = table.rows.get(frame_index)
+    entries = rows.get(frame_index)
     if entries is None:
         raise TraceDomainError(f"frame {frame_index} is not tabulated")
     if qp < entries[0][0] or qp > entries[-1][0]:
@@ -452,9 +436,9 @@ def outcome_of(lookup, *args):
 def test_lookup_matches_a_linear_scan(qps, data, frame_index, qp):
     values = st.floats(0.0, 1e6)
     rows = {0: [(q, data.draw(values), data.draw(values)) for q in sorted(qps)]}
-    table = TraceTable(rows)
+    table = table_from_rows(rows)
     assert outcome_of(table.lookup, frame_index, qp) == outcome_of(
-        linear_lookup, table, frame_index, qp
+        linear_lookup, rows, frame_index, qp
     )
 
 
@@ -466,7 +450,7 @@ def test_lookup_is_non_increasing_in_qp(qps, data):
 
     psnrs = falling(st.floats(-1e300, 1e300))
     bits = falling(st.floats(0.0, 1e300))
-    table = TraceTable({0: list(zip(sorted(qps), psnrs, bits))})
+    table = table_from_rows({0: list(zip(sorted(qps), psnrs, bits))})
     outcomes = [table.lookup(0, qp) for qp in range(min(qps), max(qps) + 1)]
     for (psnr, bit), (next_psnr, next_bit) in zip(outcomes, outcomes[1:]):
         assert next_psnr <= psnr and next_bit <= bit
@@ -488,14 +472,6 @@ def trace_tables(draw):
     return rows
 
 
-def trace_lines(rows):
-    return ["frame,qp,psnr_db,bits"] + [
-        f"{frame},{qp},{psnr!r},{bits!r}"
-        for frame, entries in rows.items()
-        for qp, psnr, bits in entries
-    ]
-
-
 NEWLINES = st.sampled_from(["\n", "\r", "\r\n"])
 # What str.splitlines() also splits at; only \n, \r and \r\n end a line.
 NOT_NEWLINES = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
@@ -507,7 +483,9 @@ NOT_NEWLINES = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
     blanks=st.lists(st.sampled_from(["", " ", "\t"]), max_size=3),
     data=st.data(),
 )
-def test_load_and_the_constructor_agree(tmp_path_factory, rows, bom, blanks, data):
+def test_load_agrees_with_the_rows_it_was_written_from(
+    tmp_path_factory, rows, bom, blanks, data
+):
     lines = trace_lines(rows)
     for i, blank in enumerate(blanks):
         lines.insert(1 + i * len(lines) // len(blanks), blank)
@@ -515,13 +493,16 @@ def test_load_and_the_constructor_agree(tmp_path_factory, rows, bom, blanks, dat
     text = "".join(line + end for line, end in zip(lines, ends))
     path = tmp_path_factory.getbasetemp() / "property.csv"
     path.write_bytes((("\ufeff" if bom else "") + text).encode())
-    tables = [TraceTable.load(path), TraceTable(rows)]
-    assert tables[0] == tables[1]
+    table = TraceTable.load(path)
+    assert table.rows == rows
+    copies = [copy.deepcopy(table), pickle.loads(pickle.dumps(table))]
+    assert copies == [table, table]
     qps = [qp for entries in rows.values() for qp, _, _ in entries]
     for frame in [*rows, max(rows) + 1]:
         for qp in range(min(qps) - 2, max(qps) + 3):
-            outcomes = {outcome_of(table.lookup, frame, qp) for table in tables}
-            assert len(outcomes) == 1
+            expected = outcome_of(linear_lookup, rows, frame, qp)
+            for looked_up in [table, *copies]:
+                assert outcome_of(looked_up.lookup, frame, qp) == expected
 
 
 @given(

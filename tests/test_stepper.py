@@ -33,10 +33,10 @@ from qpcontrol.plant import (
     DisturbanceSpec,
     PlantKind,
     PlantModel,
-    TraceTable,
     plant_stepper,
     step_plant,
 )
+from trace_rows import table_from_rows
 
 QP_MIN, QP_MAX = 0, 51
 MAX_FRAMES = 40
@@ -75,7 +75,7 @@ def trace_plants(draw):
             for qp in sorted({QP_MIN, QP_MAX, *inner})
         ]
     return PlantModel.trace_driven(
-        TraceTable(rows),
+        table_from_rows(rows),
         disturbance=draw(disturbances),
         initial_psnr=draw(st.none() | st.floats(0.0, 60.0)),
     )
@@ -147,7 +147,7 @@ def psnr_stream_config(psnrs, gains, objective, qp_range, qp_offset, kind_patter
     qps = range(qp_range.qp_min, qp_range.qp_max + 1)
     rows = {j: [(qp, psnr, 0.0) for qp in qps] for j, psnr in enumerate([*psnrs, 0.0])}
     return ExperimentConfig(
-        plant=PlantModel.trace_driven(TraceTable(rows)),
+        plant=PlantModel.trace_driven(table_from_rows(rows)),
         objective=objective,
         gains=gains,
         qp_range=qp_range,
