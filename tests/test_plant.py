@@ -346,6 +346,13 @@ class TestTraceTable:
             ("0,30,38.0,500000.0,1", "trace line 2: expected 4 fields"),
             ("x,1,2,3", "trace line 2: invalid literal for int() with base 10: 'x'"),
             ("0,30,nan,500000.0", "trace line 2: bad psnr/bits"),
+            ("0,30,-inf,500000.0", "trace line 2: bad psnr/bits"),
+            ("0,30,1e400,500000.0", "trace line 2: bad psnr/bits"),
+            ("0,30,-1e400,500000.0", "trace line 2: bad psnr/bits"),
+            ("0,30,38.0,nan", "trace line 2: bad psnr/bits"),
+            ("0,30,38.0,inf", "trace line 2: bad psnr/bits"),
+            ("0,30,38.0,1e400", "trace line 2: bad psnr/bits"),
+            ("0,30,38.0,-5e-324", "trace line 2: bad psnr/bits"),
             ("0,30,38.0,-1", "trace line 2: bad psnr/bits"),
             ("0,30,38.0,\x85", "trace line 2: could not convert string to float: '\\x85'"),
             ("0,30,38.0,abc", "trace line 2: could not convert string to float: 'abc'"),
