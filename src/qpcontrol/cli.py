@@ -31,18 +31,14 @@ from .harness import (
 from .sysid import MIN_RESPONSE_LENGTH, estimate_order, run_impulse
 
 
-def _flag_overrides(args: argparse.Namespace) -> list[str]:
-    # Applied last: the dedicated flags win over --set and a grid point.
-    overrides = []
-    if args.seed is not None:
-        overrides.append(f"plant.disturbance.seed={args.seed}")
-    if args.mode is not None:
-        overrides.append(f"mode={args.mode}")
-    return overrides
+# The flags that set a configuration key, and the key each sets.
+_FLAG_KEYS = (("seed", "plant.disturbance.seed"), ("mode", "mode"))
 
 
-def _load_config(args: argparse.Namespace):
-    return parse_config(args.config, [*args.overrides, *_flag_overrides(args)])
+def _overrides(args: argparse.Namespace) -> list[str]:
+    # The --set values, then the flags as assignments, which so win over them.
+    flags = [(key, getattr(args, flag)) for flag, key in _FLAG_KEYS]
+    return args.overrides + [f"{key}={value}" for key, value in flags if value is not None]
 
 
 def _check_out(out: Path) -> None:
@@ -68,7 +64,7 @@ def _run_for_mode(config):
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+    config = parse_config(args.config, _overrides(args))
     records = _run_for_mode(config)
     metrics = compute_metrics(records, config.objective)
     out = _out_dir(args)
@@ -79,7 +75,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_identify(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+    config = parse_config(args.config, _overrides(args))
     if config.n_frames < MIN_RESPONSE_LENGTH:
         raise ConfigError(
             f"n_frames={config.n_frames} is too short for identify: "
@@ -119,7 +115,7 @@ def _cmd_identify(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+    config = parse_config(args.config, _overrides(args))
     controlled = compute_metrics(run_closed_loop(config), config.objective)
     baseline = compute_metrics(run_fixed_qp(config), config.objective)
     text = comparison_text(controlled, baseline)
@@ -169,14 +165,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not args.grid:
         raise ConfigError("sweep requires at least one --grid axis")
     axes = _parse_grid(args.grid)
+    for flag, key in _FLAG_KEYS:
+        if key in axes and getattr(args, flag) is not None:
+            raise ConfigError(f"--grid: key {key!r} is also set by --{flag}")
     keys = list(axes)
     # duplicate grid points are dropped
     points = list(dict.fromkeys(itertools.product(*axes.values())))
-    flags = _flag_overrides(args)
-    point_overrides = [
-        [f"{key}={value}" for key, value in zip(keys, combo)] + flags for combo in points
-    ]
-    configs = parse_configs(args.config, args.overrides, point_overrides)
+    overrides = _overrides(args)
+    configs = parse_configs(
+        args.config, [overrides + [f"{k}={v}" for k, v in zip(keys, combo)] for combo in points]
+    )
     # Each distinct run is run once; only its metrics are kept.
     runs: dict[str, MetricsReport] = {}
     header = keys + list(MetricsReport._fields)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -147,6 +148,8 @@ def _seeded_noise_column(spec: DisturbanceSpec, n: int) -> list[float]:
     # shift pulls in from the next lane, and the first mask drops the index
     # lanes past n. The constants are _mix64's, and every byte conversion is
     # little-endian, so no step depends on the host's byte order.
+    if n > sys.maxsize // 16:  # no bytes object holds n lanes
+        raise MemoryError(f"{n} noise lanes of 16 bytes exceed any bytes object")
     ones = int.from_bytes((b"\x01" + bytes(15)) * n, "little")
     low = int.from_bytes((b"\xff" * 8 + bytes(8)) * n, "little")
     x = _lane_index(n) ^ (spec.seed_word * ones)

@@ -88,7 +88,7 @@ class ExperimentConfig:
                 f"n_frames must be in [1, {sys.maxsize}], got {self.n_frames}"
             )
         if not math.isfinite(self.qp_offset):
-            raise InputDomainError("qp_offset must be finite")
+            raise InputDomainError(f"qp_offset must be finite, got {self.qp_offset!r}")
         parse_kind_pattern(self.kind_pattern)  # validate eagerly
         if self.plant.kind is PlantKind.TRACE_DRIVEN:
             # Frame coverage only: a frame's QP span is checked per lookup.

@@ -97,7 +97,9 @@ class PlantModel:
         if not (0.0 <= self.inertia < 1.0):
             raise InputDomainError(f"inertia must be in [0, 1), got {self.inertia!r}")
         if not (math.isfinite(self.rate_ref_bits) and self.rate_ref_bits >= 0):
-            raise InputDomainError("rate_ref_bits must be finite and >= 0")
+            raise InputDomainError(
+                f"rate_ref_bits must be finite and >= 0, got {self.rate_ref_bits!r}"
+            )
         if self.initial_psnr is not None and not math.isfinite(self.initial_psnr):
             raise InputDomainError(
                 f"initial_psnr must be finite, got {self.initial_psnr!r}"

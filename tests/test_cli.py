@@ -464,6 +464,28 @@ class TestSweep:
         assert runs == ["run_fixed_qp"]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "grid, flag",
+        [
+            ("mode=fixed,controlled", ["--mode", "fixed"]),
+            ("plant.disturbance.seed=1,2", ["--seed", "5"]),
+        ],
+        ids=["mode", "seed"],
+    )
+    def test_a_grid_axis_on_a_flags_key_exits_two(
+        self, tmp_path, monkeypatch, capsys, grid, flag
+    ):
+        # Every point would run with the flag's value but be labelled with
+        # its own grid value.
+        runs = counted_runs(monkeypatch)
+        out = tmp_path / "out"
+        args = ["--set", "n_frames=50", "--grid", grid, *flag]
+        assert run_cli("sweep", "--out", out, *args) == 2
+        key = grid.partition("=")[0]
+        assert capsys.readouterr().err == f"error: --grid: key {key!r} is also set by {flag[0]}\n"
+        assert runs == []
+        assert not out.exists()
+
 
 class TestReproducibility:
     @pytest.mark.parametrize(
@@ -515,13 +537,18 @@ class TestExitCodes:
             "plant.psnr_intercept=nan",
             "plant.disturbance.amplitude=nan",
             "plant.disturbance.amplitude=-inf",
+            "qp_offset=nan",
+            "qp_offset=-inf",
+            "plant.rate_ref_bits=inf",
+            "plant.rate_ref_bits=nan",
         ],
     )
     def test_a_non_finite_value_exits_two_naming_its_key(self, tmp_path, capsys, override):
         key, value = override.split("=")
+        rule = " and >= 0" if key == "plant.rate_ref_bits" else ""
         out = tmp_path / "out"
         assert run_cli("simulate", "--out", out, "--set", override) == 2
-        assert capsys.readouterr().err == f"error: {key} must be finite, got {value}\n"
+        assert capsys.readouterr().err == f"error: {key} must be finite{rule}, got {value}\n"
         assert not out.exists()
 
     def test_trace_shorter_than_the_run_exits_two(self, tmp_path, capsys):
@@ -579,6 +606,19 @@ class TestExitCodes:
         assert run_cli("simulate", "--out", out) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "memory" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_seeded_noise_over_more_frames_than_memory_holds_exits_three(
+        self, tmp_path, capsys
+    ):
+        overrides = [
+            f"n_frames={sys.maxsize}",
+            "plant.disturbance.kind=seeded_noise",
+            "plant.disturbance.amplitude=1",
+        ]
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--out", out, *as_set(overrides)) == 3
+        assert capsys.readouterr().err == "error: out of memory; n_frames may be too large\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("period, code", [(1, 2), (2, 2), (3, 0)])
@@ -835,6 +875,22 @@ class TestExitCodes:
         assert run_cli(command, "--out", out, option, assignment) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: override[0]:1: expected 'key = value'")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "assignment, message",
+        [("#n_frames=5", "unknown key '#n_frames'"), ("", "expected 'key = value', got ''")],
+        ids=["comment", "empty"],
+    )
+    def test_a_command_line_assignment_is_never_a_comment_or_blank(
+        self, tmp_path, monkeypatch, capsys, assignment, message
+    ):
+        # Read as a config line, either would set nothing and run 300 frames.
+        runs = counted_runs(monkeypatch)
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--out", out, "--set", assignment) == 2
+        assert capsys.readouterr().err == f"error: override[0]:1: {message}\n"
+        assert runs == []
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import pickle
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qpcontrol.config import SCHEMA, emit_config, parse_config, parse_configs
@@ -58,7 +58,7 @@ class TestDefaults:
             for line in emit_config(parse_config(None)).splitlines()
         )
         for key, default in listed.items():
-            parse = SCHEMA[key].parse
+            parse = SCHEMA[key]
             assert parse(key, default) == parse(key, emitted[key]), key
 
     def test_empty_file_gives_defaults(self, tmp_path):
@@ -193,7 +193,7 @@ class TestParseConfigs:
         path.write_text("objective.lambda = 0.6\nn_frames = 40\n")
         overrides = ["gains.kp=1.5", "mode=fixed"]
         points = [[], ["mode=controlled"], ["gains.kp=3", "objective.lambda=1"]]
-        configs = list(parse_configs(path, overrides, points))
+        configs = parse_configs(path, [overrides + point for point in points])
         assert configs == [parse_config(path, overrides + point) for point in points]
 
     def test_points_share_one_table(self, tmp_path):
@@ -201,13 +201,13 @@ class TestParseConfigs:
         trace_path.write_text(TRACE_TEXT)
         trace = ["plant.kind=trace_driven", f"plant.trace_path={trace_path}"]
         first, second = parse_configs(
-            None, trace, [["n_frames=1"], ["n_frames=2", "mode=fixed"]]
+            None, [trace + ["n_frames=1"], trace + ["n_frames=2", "mode=fixed"]]
         )
         assert first.plant.trace is second.plant.trace
 
     def test_a_point_error_counts_overrides_and_point_as_one_list(self):
         with pytest.raises(ConfigError, match="unknown key 'nope'") as excinfo:
-            parse_configs(None, ["gains.kp=1"], [["gains.ki=0.2"], ["nope=1"]])
+            parse_configs(None, [["gains.kp=1", "gains.ki=0.2"], ["gains.kp=1", "nope=1"]])
         assert "override[1]" in str(excinfo.value)
 
     def test_a_hash_in_an_override_value_is_refused(self):
@@ -406,3 +406,41 @@ def render(value):
 def parse_config_from_text(text):
     lines = [line for line in text.splitlines() if line.strip()]
     return parse_config(None, lines)
+
+
+# What a config line may hold that the file rule reads as it is: no '#'
+# (a comment) and no \n or \r (a line end).
+LINE_CHARS = st.characters(blacklist_categories=("Cs",), blacklist_characters="#\n\r")
+PADDING = st.text(st.sampled_from(" \t\v\f\x85\u2028\u3000"), max_size=2)
+VALUES = st.one_of(
+    st.sampled_from(["none", "nan", "-1", "0", "3", "1e309", "fixed", "intra_every:4"]),
+    st.text(LINE_CHARS, max_size=8),
+)
+ASSIGNMENTS = st.one_of(
+    st.text(LINE_CHARS, max_size=24),
+    st.tuples(PADDING, st.sampled_from(list(SCHEMA)), PADDING, VALUES, PADDING).map(
+        lambda parts: "{}{}{}={}{}".format(*parts)
+    ),
+)
+
+
+@given(text=ASSIGNMENTS)
+@example(text="#n_frames=5")
+@example(text="")
+@example(text="kind_pattern=intra#every")
+def test_a_command_line_assignment_reads_as_a_config_file_line(tmp_path_factory, text):
+    def outcome(*args):
+        try:
+            return parse_config(*args)
+        except ConfigError:
+            return ConfigError
+
+    from_command_line = outcome(None, [text])
+    if "#" in text or not text.strip():
+        # A file would read a comment or a blank line here, and set nothing.
+        assert from_command_line is ConfigError
+        return
+    # The second line, so that a leading BOM in the text is kept.
+    path = tmp_path_factory.getbasetemp() / "one_assignment.cfg"
+    path.write_text(f"# first line\n{text}\n", encoding="utf-8")
+    assert from_command_line == outcome(path)
