@@ -48,6 +48,13 @@ class PlantKind(Enum):
     TRACE_DRIVEN = "trace_driven"
 
 
+def _checked_bits(bits: float) -> float:
+    """Return ``bits``, or raise if it is not finite and >= 0."""
+    if not (math.isfinite(bits) and bits >= 0):
+        raise InputDomainError(f"bits must be finite and >= 0, got {bits!r}")
+    return bits
+
+
 @dataclass(frozen=True)
 class FrameOutcome:
     """Measured result of encoding one frame."""
@@ -58,8 +65,7 @@ class FrameOutcome:
     def __post_init__(self) -> None:
         if not math.isfinite(self.psnr):
             raise InputDomainError(f"psnr must be finite, got {self.psnr!r}")
-        if not (math.isfinite(self.bits) and self.bits >= 0):
-            raise InputDomainError(f"bits must be finite and >= 0, got {self.bits!r}")
+        _checked_bits(self.bits)
 
 
 @dataclass
@@ -106,7 +112,7 @@ class PlantModel:
             )
         if self.kind is PlantKind.TRACE_DRIVEN and self.trace is None:
             raise InputDomainError("trace-driven plant requires a trace table")
-        self.prev_psnr = self.initial_psnr
+        self.reset()
 
     @classmethod
     def zero_order(cls, **kwargs) -> "PlantModel":
@@ -147,36 +153,17 @@ def step_plant(model: PlantModel, qp: int, frame_index: int) -> FrameOutcome:
         raise InputDomainError("frame_index must be nonnegative")
     qp = int(qp)
     if model.kind is PlantKind.TRACE_DRIVEN:
-        assert model.trace is not None
         psnr, bits = model.trace.lookup(frame_index, qp)
-        model.prev_psnr = psnr
-        return FrameOutcome(psnr=psnr, bits=bits)
-
-    w = disturbance_at(model.disturbance, frame_index)
-    core = model.psnr_intercept - model.psnr_slope * qp
-    if model.kind is PlantKind.FIRST_ORDER and model.prev_psnr is not None:
-        psnr = model.inertia * model.prev_psnr + (1.0 - model.inertia) * core + w
     else:
-        psnr = core + w
+        w = disturbance_at(model.disturbance, frame_index)
+        core = model.psnr_intercept - model.psnr_slope * qp
+        if model.kind is PlantKind.FIRST_ORDER and model.prev_psnr is not None:
+            psnr = model.inertia * model.prev_psnr + (1.0 - model.inertia) * core + w
+        else:
+            psnr = core + w
+        bits = rate_model(model, qp)
     model.prev_psnr = psnr
-    return FrameOutcome(psnr=psnr, bits=rate_model(model, qp))
-
-
-class _RateTable(dict):
-    """Bits per QP for one run. ``rate_model`` fills each entry on the QP's
-    first use and the entry is checked as it is made; a QP range has no
-    size limit, so the table is not built ahead of the run."""
-
-    def __init__(self, model: PlantModel) -> None:
-        super().__init__()
-        self.model = model
-
-    def __missing__(self, qp: int) -> float:
-        bits = rate_model(self.model, qp)
-        if not (math.isfinite(bits) and bits >= 0):
-            raise InputDomainError(f"bits must be finite and >= 0, got {bits!r}")
-        self[qp] = bits
-        return bits
+    return FrameOutcome(psnr=psnr, bits=bits)
 
 
 def plant_stepper(
@@ -206,7 +193,9 @@ def plant_stepper(
         return step
 
     ws = disturbance_column(model.disturbance, n_frames)
-    rates = _RateTable(model)
+    # Bits per QP, each entry made and checked on the QP's first use; a QP
+    # range has no size limit, so the memo is not built ahead of the run.
+    rates: dict[int, float] = {}
     intercept, slope = model.psnr_intercept, model.psnr_slope
     first_order = model.kind is PlantKind.FIRST_ORDER
     alpha, beta = model.inertia, 1.0 - model.inertia
@@ -223,6 +212,8 @@ def plant_stepper(
             raise InputDomainError(f"psnr must be finite, got {psnr!r}")
         if first_order:
             prev = psnr
+        if qp not in rates:
+            rates[qp] = _checked_bits(rate_model(model, qp))
         return psnr, rates[qp]
 
     return step

@@ -98,7 +98,7 @@ def estimate_order(response: Sequence[float]) -> OrderEstimate:
         raise InputDomainError("response must be a sequence of numbers") from None
     if len(arr) < MIN_RESPONSE_LENGTH:
         raise InputDomainError(
-            f"response must be 1-D with at least {MIN_RESPONSE_LENGTH} samples"
+            f"response must hold at least {MIN_RESPONSE_LENGTH} samples"
         )
     if not all(map(math.isfinite, arr)):
         raise InputDomainError("response must be finite")

@@ -836,6 +836,25 @@ class TestExitCodes:
         assert err.startswith("error: plant.trace_path: not UTF-8 text: ")
         assert not out.exists()
 
+    def test_a_relative_trace_path_resolves_against_the_working_directory(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Not against the directory of the config file that names it."""
+        cfgdir = tmp_path / "cfgdir"
+        cfgdir.mkdir()
+        (cfgdir / "t.csv").write_text(TRACE_TEXT)
+        (cfgdir / "exp.cfg").write_text(
+            "plant.kind = trace_driven\nplant.trace_path = t.csv\nn_frames = 2\n"
+        )
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("simulate", "--config", "cfgdir/exp.cfg", "--out", "out") == 2
+        err = capsys.readouterr().err
+        assert err == "error: plant.trace_path: trace file not found: t.csv\n"
+        assert not (tmp_path / "out").exists()
+        monkeypatch.chdir(cfgdir)
+        assert run_cli("simulate", "--config", "exp.cfg", "--out", "out") == 0
+        assert (cfgdir / "out" / "trace.csv").is_file()
+
     @pytest.mark.parametrize("unreadable", ["config", "trace"])
     def test_an_input_that_cannot_be_read_exits_two(
         self, tmp_path, capsys, monkeypatch, unreadable

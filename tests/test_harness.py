@@ -185,14 +185,37 @@ class TestClosedLoop:
 
 
 def test_the_intra_policy_at_the_default_gains():
-    """The README's account of ``intra_every:N`` and ``intra``: the loop is
-    stable with its intra frames' steady state above QP 51, so the clamp
-    holds them at 51; on every frame the policy is unstable."""
+    """The README's account of ``intra_every:N`` and ``intra``. At the
+    defaults every frame stays at QP 32. At target 36, N = 2 is unstable
+    and reaches both bounds of a range widened to +-1000 from frame 192;
+    N = 3 and 4 settle inside [0, 51] with no frame at a bound; at N = 12
+    the intra frames' steady state lies above QP 51, so the clamp holds
+    them at 51. On every frame the policy is unstable."""
+    wide = ["range.qp_min=-1000", "range.qp_max=1000"]
+
+    def run(n, overrides):
+        """An ``intra_every:n`` run: its QPs, and its intra QPs in the last 120."""
+        kind_at = parse_kind_pattern(f"intra_every:{n}")
+        pattern = f"kind_pattern=intra_every:{n}"
+        records = run_closed_loop(parse_config(None, overrides + [pattern]))
+        intra = {r.qp for r in records[-120:] if kind_at(r.frame) is FrameKind.INTRA}
+        return [r.qp for r in records], intra
+
+    at_36 = ["objective.target_psnr=36", "n_frames=1200"]
+    for n in (2, 3, 4, 12):
+        assert set(run(n, [])[0]) == {32}
+    _, intra = run(2, at_36)
+    assert (min(intra), max(intra)) == (17, 51)
+    qps, _ = run(2, at_36 + wide)
+    assert min(qps.index(-1000), qps.index(1000)) == 192  # both bounds reached
+    for n, intra_qps in [(3, set(range(40, 45))), (4, set(range(45, 48)))]:
+        for overrides, bounds in [(at_36, (0, 51)), (at_36 + wide, (-1000, 1000))]:
+            qps, intra = run(n, overrides)
+            assert intra == intra_qps and not set(bounds) & set(qps)
     kind_at = parse_kind_pattern("intra_every:12")
     common = ["objective.target_psnr=36", "kind_pattern=intra_every:12"]
-    unclamped = ["range.qp_min=-1000", "range.qp_max=1000", "n_frames=1200"]
     for overrides, tail, intra_qps, inter_span in [
-        (common + unclamped, 120, {69, 70, 71, 72}, (18, 39)),
+        (common + wide + ["n_frames=1200"], 120, {69, 70, 71, 72}, (18, 39)),
         (common, 299, {51}, (27, 37)),
     ]:
         records = run_closed_loop(parse_config(None, overrides))[-tail:]

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from qpcontrol.disturbance import (
     DisturbanceKind,
     DisturbanceSpec,
+    _mix64,
     disturbance_at,
     disturbance_column,
 )
@@ -187,6 +188,14 @@ class TestDisturbance:
         seq_a = [disturbance_at(a, t) for t in range(1000)]
         seq_b = [disturbance_at(b, t) for t in range(1000)]
         assert seq_a == seq_b
+
+    def test_noise_mix_gives_splitmix64s_published_outputs(self):
+        """splitmix64 seeded with 0 (S. Vigna, ``splitmix64.c``) adds the
+        gamma 0x9E3779B97F4A7C15 to its state and then mixes; ``_mix64``
+        adds the gamma itself, so its input is the state before the add."""
+        gamma = 0x9E3779B97F4A7C15
+        published = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+        assert [_mix64(k * gamma % 2**64) for k in range(3)] == published
 
     def test_seeded_noise_varies_with_seed(self):
         a = DisturbanceSpec(kind=DisturbanceKind.SEEDED_NOISE, amplitude=1.0, seed=1)

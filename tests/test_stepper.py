@@ -351,11 +351,12 @@ def test_psnr_overflow_raises_on_the_frame(run):
 
 def test_non_finite_bits_raise_when_the_rate_entry_is_made():
     step = plant_stepper(
-        PlantModel.zero_order(rate_ref_bits=1e308, rate_ref_qp=40), 2
+        PlantModel.zero_order(rate_ref_bits=1e308, rate_ref_qp=40), 3
     )
     assert step(40, 0)[1] == 1e308
-    with pytest.raises(InputDomainError, match="bits must be finite"):
-        step(0, 1)
+    for t in (1, 2):  # a refused QP is never cached, so it raises again
+        with pytest.raises(InputDomainError, match="bits must be finite"):
+            step(0, t)
 
 
 @pytest.mark.parametrize(
