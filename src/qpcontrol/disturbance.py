@@ -2,11 +2,12 @@
 
 A ``DisturbanceSpec`` picks one of five kinds: none, constant, step,
 sinusoid or seeded noise. ``disturbance_at(spec, t)`` is the scalar
-reference, one frame at a time. ``disturbance_column(spec, n)`` equals it
-over frames ``0 .. n - 1`` bit for bit; it builds none, sinusoid and seeded
-noise in bulk, the last with the splitmix64 finalizer (Steele, Lea and
-Flood, "Fast Splittable Pseudorandom Number Generators", OOPSLA 2014) run
-over every frame at once, the frames packed into the lanes of one big int.
+reference and holds each kind's only formula. ``disturbance_column(spec,
+n)`` equals it over frames ``0 .. n - 1`` bit for bit. It builds none,
+sinusoid and seeded noise in bulk, the last with the splitmix64 finalizer
+(Steele, Lea and Flood, "Fast Splittable Pseudorandom Number Generators",
+OOPSLA 2014) run over every frame at once, the frames packed into the lanes
+of one big int; constant and step map ``disturbance_at`` over the frames.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import struct
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
 
 from .errors import InputDomainError
 
@@ -29,6 +29,13 @@ class DisturbanceKind(Enum):
     STEP = "step"
     SINUSOID = "sinusoid"
     SEEDED_NOISE = "seeded_noise"
+
+
+# Bound once by name: each ``DisturbanceKind.X`` lookup costs about as much
+# as a formula, and disturbance_at compares against these on every call.
+_NONE, _CONSTANT = DisturbanceKind.NONE, DisturbanceKind.CONSTANT
+_STEP, _SINUSOID = DisturbanceKind.STEP, DisturbanceKind.SINUSOID
+_SEEDED_NOISE = DisturbanceKind.SEEDED_NOISE
 
 
 @dataclass(frozen=True)
@@ -50,9 +57,11 @@ class DisturbanceSpec:
     seed_word: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, DisturbanceKind):
+            raise InputDomainError(f"kind must be a DisturbanceKind, got {self.kind!r}")
         if not math.isfinite(self.amplitude):
             raise InputDomainError(f"amplitude must be finite, got {self.amplitude!r}")
-        if self.kind is DisturbanceKind.SINUSOID:
+        if self.kind is _SINUSOID:
             if self.period < 3:  # periods 1 and 2 sample only the sine's zeros
                 raise InputDomainError(
                     f"period must be >= 3 for a sinusoid disturbance, got {self.period}"
@@ -74,59 +83,21 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _no_disturbance(spec: DisturbanceSpec, t: int) -> float:
-    return 0.0
-
-
-def _constant(spec: DisturbanceSpec, t: int) -> float:
-    return spec.amplitude
-
-
-def _step(spec: DisturbanceSpec, t: int) -> float:
-    return spec.amplitude if t >= spec.step_frame else 0.0
-
-
-def _sinusoid(spec: DisturbanceSpec, t: int) -> float:
-    return spec.amplitude * math.sin(2.0 * math.pi * t / spec.period)
-
-
-def _seeded_noise(spec: DisturbanceSpec, t: int) -> float:
-    # uniform in [-amplitude, amplitude]
-    unit = _mix64(spec.seed_word ^ (t & _MASK64)) / float(1 << 64)  # [0, 1)
-    return spec.amplitude * (2.0 * unit - 1.0)
-
-
-# The only formula of each kind: the reference the columns below are pinned to.
-_DISTURBANCES: dict[DisturbanceKind, Callable[[DisturbanceSpec, int], float]] = {
-    DisturbanceKind.NONE: _no_disturbance,
-    DisturbanceKind.CONSTANT: _constant,
-    DisturbanceKind.STEP: _step,
-    DisturbanceKind.SINUSOID: _sinusoid,
-    DisturbanceKind.SEEDED_NOISE: _seeded_noise,
-}
-
-
 def disturbance_at(spec: DisturbanceSpec, frame_index: int) -> float:
     """Disturbance value (dB) at a frame; pure in (spec, frame_index)."""
     if frame_index < 0:
         raise InputDomainError("frame_index must be nonnegative")
-    return _DISTURBANCES[spec.kind](spec, frame_index)
-
-
-# Bulk builders for the kinds whose runs they measurably speed up: each gives
-# [_DISTURBANCES[kind](spec, t) for t in range(n)] bit for bit.
-
-
-def _no_disturbance_column(spec: DisturbanceSpec, n: int) -> list[float]:
-    return [0.0] * n
-
-
-def _sinusoid_column(spec: DisturbanceSpec, n: int) -> list[float]:
-    # 2.0 * math.pi * t / period evaluates left to right, so hoisting the
-    # product keeps every bit.
-    amplitude, period, sin = spec.amplitude, spec.period, math.sin
-    two_pi = 2.0 * math.pi
-    return [amplitude * sin(two_pi * t / period) for t in range(n)]
+    kind = spec.kind
+    if kind is _SEEDED_NOISE:  # uniform in [-amplitude, amplitude]
+        unit = _mix64(spec.seed_word ^ (frame_index & _MASK64)) / float(1 << 64)
+        return spec.amplitude * (2.0 * unit - 1.0)
+    if kind is _SINUSOID:
+        return spec.amplitude * math.sin(2.0 * math.pi * frame_index / spec.period)
+    if kind is _STEP:
+        return spec.amplitude if frame_index >= spec.step_frame else 0.0
+    if kind is _CONSTANT:
+        return spec.amplitude
+    return 0.0  # DisturbanceKind.NONE
 
 
 def _lane_index(n: int) -> int:
@@ -162,20 +133,19 @@ def _seeded_noise_column(spec: DisturbanceSpec, n: int) -> list[float]:
     return [amplitude * (2.0 * (w / scale) - 1.0) for w in words]
 
 
-_COLUMNS: dict[DisturbanceKind, Callable[[DisturbanceSpec, int], list[float]]] = {
-    DisturbanceKind.NONE: _no_disturbance_column,
-    DisturbanceKind.SINUSOID: _sinusoid_column,
-    DisturbanceKind.SEEDED_NOISE: _seeded_noise_column,
-}
-
-
 def disturbance_column(spec: DisturbanceSpec, n_frames: int) -> list[float]:
     """``[disturbance_at(spec, t) for t in range(n_frames)]``, in bulk where it pays."""
     if n_frames < 0:
         raise InputDomainError("n_frames must be nonnegative")
-    if spec.kind in _COLUMNS:
-        return _COLUMNS[spec.kind](spec, n_frames)
-    formula = _DISTURBANCES[spec.kind]
-    return [formula(spec, t) for t in range(n_frames)]
-
-
+    kind = spec.kind
+    if kind is _SEEDED_NOISE:
+        return _seeded_noise_column(spec, n_frames)
+    if kind is _SINUSOID:
+        # 2.0 * math.pi * t / period evaluates left to right, so hoisting the
+        # product keeps every bit.
+        amplitude, period, sin = spec.amplitude, spec.period, math.sin
+        two_pi = 2.0 * math.pi
+        return [amplitude * sin(two_pi * t / period) for t in range(n_frames)]
+    if kind is _NONE:
+        return [0.0] * n_frames
+    return [disturbance_at(spec, t) for t in range(n_frames)]

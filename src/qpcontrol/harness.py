@@ -83,6 +83,8 @@ class ExperimentConfig:
     mode: RunMode = RunMode.CONTROLLED
 
     def __post_init__(self) -> None:
+        if not isinstance(self.mode, RunMode):
+            raise InputDomainError(f"mode must be a RunMode, got {self.mode!r}")
         if not 1 <= self.n_frames <= sys.maxsize:  # no list holds more frames
             raise InputDomainError(
                 f"n_frames must be in [1, {sys.maxsize}], got {self.n_frames}"

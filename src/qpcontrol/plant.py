@@ -92,6 +92,8 @@ class PlantModel:
     prev_psnr: float | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, PlantKind):
+            raise InputDomainError(f"kind must be a PlantKind, got {self.kind!r}")
         if not (math.isfinite(self.psnr_slope) and self.psnr_slope > 0):
             raise InputDomainError(
                 f"psnr_slope must be finite and > 0, got {self.psnr_slope!r}"

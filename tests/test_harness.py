@@ -100,6 +100,15 @@ class TestKindPattern:
             config.n_frames = 10
         assert dataclasses.replace(config, n_frames=10).n_frames == 10
 
+    @pytest.mark.parametrize("mode", ["controlled", "fixed", None])
+    def test_config_mode_must_be_a_run_mode(self, mode):
+        with pytest.raises(InputDomainError, match="mode must be a RunMode, got "):
+            ExperimentConfig(
+                plant=reference_plant(),
+                objective=ControlObjective(target_psnr=37.2),
+                mode=mode,
+            )
+
     def test_config_needs_at_least_one_frame(self):
         with pytest.raises(InputDomainError):
             ExperimentConfig(

@@ -292,6 +292,18 @@ class TestValidation:
         with pytest.raises(InputDomainError):
             PlantModel.first_order(0.5, initial_psnr=bad)
 
+    @pytest.mark.parametrize("kind", ["first_order", "zero_order", None])
+    def test_plant_kind_must_be_a_plant_kind(self, kind):
+        with pytest.raises(InputDomainError, match="kind must be a PlantKind, got "):
+            PlantModel(kind=kind, inertia=0.9, initial_psnr=20.0)
+
+    @pytest.mark.parametrize("kind", ["sinusoid", "none", None])
+    def test_disturbance_kind_must_be_a_disturbance_kind(self, kind):
+        with pytest.raises(
+            InputDomainError, match="kind must be a DisturbanceKind, got "
+        ):
+            DisturbanceSpec(kind=kind, period=10)
+
     def test_trace_driven_requires_table(self):
         with pytest.raises(InputDomainError):
             PlantModel(kind=PlantKind.TRACE_DRIVEN)

@@ -221,12 +221,22 @@ class TestEstimateOrder:
 
 
 class TestEndToEnd:
-    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8, 0.9, 0.95])
     def test_first_order_grid_noiseless(self, alpha):
         experiment = run_impulse(PlantModel.first_order(alpha), QP_RANGE, 64)
         estimate = estimate_order(experiment.response)
         assert estimate.order == 1
         assert estimate.pole == pytest.approx(alpha, abs=0.01)
+
+    def test_a_run_short_for_its_pole_reads_low(self):
+        # 64 frames leave the last quarter unsettled, so de-trending by its
+        # mean cuts the transient short; 300 frames recover the pole
+        plant = PlantModel.first_order(0.99)
+        short, long = (
+            estimate_order(run_impulse(plant, QP_RANGE, n).response) for n in (64, 300)
+        )
+        assert short.pole < 0.99 - 0.01
+        assert long.pole == pytest.approx(0.99, abs=0.01)
 
     def test_zero_order_noiseless(self):
         experiment = run_impulse(PlantModel.zero_order(), QP_RANGE, 64)
