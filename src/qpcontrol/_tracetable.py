@@ -4,7 +4,7 @@ A trace CSV has the header ``frame,qp,psnr_db,bits`` and one row per
 tabulated (frame, QP), strictly sorted by (frame, qp). ``TraceTable.load``
 is the only parser: it reads the file line by line, by the rule that reads
 a config file. A loaded table keeps each frame's QPs as a tuple of ints
-and its PSNR and bits in read-only float64 columns, about 35 bytes per row.
+and all rows' PSNR and bits in two read-only float64 columns, ~23 B/row.
 
 ``qpcontrol.plant`` re-exports ``TraceTable``. It lives apart because a
 process without bytecode compiles each module from source, and the
@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import InputDomainError, TraceDomainError
@@ -24,62 +24,40 @@ from .errors import InputDomainError, TraceDomainError
 TRACE_HEADER = "frame,qp,psnr_db,bits"
 
 
-class _FrameRows(Sequence):
-    """One frame's ``(qp, psnr, bits)`` rows, read-only: the QPs as a tuple
-    of ints, and row i's PSNR and bits at ``start + i`` in float64 columns
-    shared by the frames of one table."""
-
-    __slots__ = ("qps", "start", "psnr", "bits")
-
-    def __init__(self, qps: tuple[int, ...], start: int, psnr, bits) -> None:
-        self.qps, self.start, self.psnr, self.bits = qps, start, psnr, bits
-
-    def __len__(self) -> int:
-        return len(self.qps)
-
-    def __iter__(self):
-        return zip(self.qps, self.psnr[self.start :], self.bits[self.start :])
-
-    def __getitem__(self, i):
-        return tuple(self)[i]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Sequence) and tuple(self) == tuple(other)
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
 @dataclass(frozen=True, init=False)
 class TraceTable:
     """Per-frame (qp, psnr, bits) rows parsed from a trace CSV.
 
-    ``rows[frame]`` is a read-only sequence of rows sorted by qp, held as a
-    tuple of QPs and float64 PSNR and bits columns; lookups bisect the QPs.
-    ``load`` builds every table and checks every row. The constructor takes
-    no rows, only the columns ``load`` fills: each frame's QPs, in frame
-    order, and all rows' PSNR and bits, in that order, as float64 bytes.
-    Lookups are exact at tabulated QPs and linear in qp between them;
-    anything outside the tabulated span raises TraceDomainError. The table
-    is frozen, so one table may back any number of plants and runs.
+    ``rows[frame]`` is the frame's tabulated QPs, a sorted tuple of ints;
+    the rows' PSNR and bits sit in the read-only float64 columns ``psnr``
+    and ``bits``, frame after frame, in QP order. ``load`` builds every
+    table and checks every row. The constructor takes no rows, only what
+    ``load`` fills: each frame's QPs, in frame order, and all rows' PSNR
+    and bits, in that order, as float64 bytes. Lookups bisect a frame's
+    QPs; they are exact at tabulated QPs and linear in qp between them,
+    and anything outside the tabulated span raises TraceDomainError. The
+    table is frozen, so one table may back any number of plants and runs.
     """
 
-    rows: dict[int, Sequence[tuple[int, float, float]]]
+    rows: dict[int, tuple[int, ...]]
+    psnr: memoryview = field(repr=False)
+    bits: memoryview = field(repr=False)
+    _starts: dict[int, int] = field(compare=False, repr=False)
 
-    def __init__(self, qps: dict[int, Sequence[int]], psnr: bytes, bits: bytes) -> None:
-        psnr_col, bits_col = memoryview(psnr).cast("d"), memoryview(bits).cast("d")
-        rows, start = {}, 0
+    def __init__(self, qps: dict[int, Iterable[int]], psnr: bytes, bits: bytes) -> None:
+        rows, starts, start = {}, {}, 0
         for frame, frame_qps in qps.items():
-            rows[frame] = _FrameRows(tuple(frame_qps), start, psnr_col, bits_col)
-            start += len(frame_qps)
+            rows[frame], starts[frame] = tuple(frame_qps), start
+            start += len(rows[frame])
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "psnr", memoryview(bytes(psnr)).cast("d"))
+        object.__setattr__(self, "bits", memoryview(bytes(bits)).cast("d"))
+        object.__setattr__(self, "_starts", starts)
 
     def __reduce__(self):
         # Memoryviews do not pickle: a table goes as its QP tuples and the
         # bytes under its two columns.
-        columns = next(iter(self.rows.values()))
-        qps = {frame: entries.qps for frame, entries in self.rows.items()}
-        return type(self), (qps, columns.psnr.obj, columns.bits.obj)
+        return type(self), (self.rows, self.psnr.obj, self.bits.obj)
 
     @classmethod
     def load(cls, path: str | Path) -> "TraceTable":
@@ -132,19 +110,20 @@ class TraceTable:
         return cls(qps, psnr_col.tobytes(), bits_col.tobytes())
 
     def lookup(self, frame_index: int, qp: int) -> tuple[float, float]:
-        entries = self.rows.get(frame_index)
-        if entries is None:
-            raise TraceDomainError(f"frame {frame_index} is not tabulated")
-        qps = entries.qps
+        try:
+            qps, start = self.rows[frame_index], self._starts[frame_index]
+        except KeyError:
+            raise TraceDomainError(f"frame {frame_index} is not tabulated") from None
         i = bisect_left(qps, qp)
-        j = entries.start + i
+        j = start + i
+        psnr, bits = self.psnr, self.bits
         if i < len(qps) and qps[i] == qp:
-            return entries.psnr[j], entries.bits[j]
+            return psnr[j], bits[j]
         if i == 0 or i == len(qps):
             raise TraceDomainError(
                 f"qp {qp} outside tabulated span "
                 f"[{qps[0]}, {qps[-1]}] at frame {frame_index}"
             )
-        lo, psnr, bits = qps[i - 1], entries.psnr[j - 1], entries.bits[j - 1]
+        lo, lo_psnr, lo_bits = qps[i - 1], psnr[j - 1], bits[j - 1]
         t = (qp - lo) / (qps[i] - lo)
-        return psnr + t * (entries.psnr[j] - psnr), bits + t * (entries.bits[j] - bits)
+        return lo_psnr + t * (psnr[j] - lo_psnr), lo_bits + t * (bits[j] - lo_bits)

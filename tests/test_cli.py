@@ -25,13 +25,7 @@ from qpcontrol.harness import (
     run_fixed_qp,
 )
 from qpcontrol.plant import DisturbanceKind, PlantKind, TraceTable
-
-TRACE_TEXT = """frame,qp,psnr_db,bits
-0,30,38.000,500000
-0,40,34.000,200000
-1,30,37.500,480000
-1,40,33.500,190000
-"""
+from trace_rows import TRACE_TEXT
 
 
 # Per config key, overrides that break one of its invariants.

@@ -13,16 +13,8 @@ from qpcontrol.controller import ControlObjective
 from qpcontrol.errors import ConfigError
 from qpcontrol.harness import ExperimentConfig, RunMode
 from qpcontrol.plant import DisturbanceKind, PlantKind, PlantModel, TraceTable
+from trace_rows import NEWLINES, NOT_NEWLINES, TRACE_TEXT
 
-TRACE_TEXT = """frame,qp,psnr_db,bits
-0,30,38.000,500000
-0,40,34.000,200000
-1,30,37.500,480000
-1,40,33.500,190000
-"""
-NEWLINES = st.sampled_from(["\n", "\r", "\r\n"])
-# What str.splitlines() also splits at; only \n, \r and \r\n end a line.
-NOT_NEWLINES = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
 class TestDefaults:
@@ -222,11 +214,12 @@ class TestParseConfigs:
         overrides = [
             "plant.kind=trace_driven", f"plant.trace_path={trace_path}", "n_frames=2"
         ]
-        before = parse_config(None, overrides)
+        before = parse_config(None, overrides).plant.trace
         trace_path.write_text(TRACE_TEXT.replace("38.000", "39.000"))
-        after = parse_config(None, overrides)
-        assert before.plant.trace.rows[0][0] == (30, 38.0, 500000.0)
-        assert after.plant.trace.rows[0][0] == (30, 39.0, 500000.0)
+        after = parse_config(None, overrides).plant.trace
+        assert before.lookup(0, 30) == (38.0, 500000.0)
+        assert after.lookup(0, 30) == (39.0, 500000.0)
+        assert before != after
 
 
 class TestRoundTrip:
@@ -277,7 +270,7 @@ class TestRoundTrip:
         )
         copied = round_trip(config)
         assert copied == config
-        assert copied.plant.trace.rows == config.plant.trace.rows
+        assert copied.plant.trace == config.plant.trace
         for frame in (0, 1):
             for qp in range(30, 41):
                 expected = config.plant.trace.lookup(frame, qp)

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import pickle
 import random
+import struct
 import tracemalloc
 
 import pytest
@@ -27,7 +28,7 @@ from qpcontrol.plant import (
     rate_model,
     step_plant,
 )
-from trace_rows import table_from_rows, trace_lines
+from trace_rows import NEWLINES, NOT_NEWLINES, rows_of, table_from_rows, trace_lines
 
 TRACE_TEXT = """frame,qp,psnr_db,bits
 0,30,38.000,500000
@@ -389,27 +390,32 @@ class TestTraceTable:
         spaced = TRACE_TEXT.replace("\n1,30", "\n\n  \n1,30")
         assert load_text(tmp_path / "spaced.csv", spaced) == table
 
+    def test_rows_hold_each_frames_qp_tuple(self, table):
+        assert table.rows == {0: (30, 40), 1: (30, 40), 2: (30, 40)}
+
     def test_table_is_deeply_immutable(self, table):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            table.rows = {}
-        entries = table.rows[0]
-        for column in (entries.psnr, entries.bits):
+        for name in [field.name for field in dataclasses.fields(table)] + ["extra"]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(table, name, None)
+        for column in (table.psnr, table.bits):
             with pytest.raises(TypeError):
-                column[entries.start] = 0.0
+                column[0] = 0.0
         with pytest.raises(TypeError):
-            entries[0] = (30, 0.0, 0.0)
-        assert entries[0] == (30, 38.0, 500000.0)
+            table.rows[0][0] = 35
         assert table.lookup(0, 30) == (38.0, 500000.0)
 
-    def test_rows_read_as_a_sequence_of_row_tuples(self):
-        rows = [(30, 38.0, 500000.0), (40, 34.0, 200000.0)]
-        entries = table_from_rows({0: rows}).rows[0]
-        assert len(entries) == 2
-        assert (entries[-1], entries[0:1]) == (rows[-1], (rows[0],))
-        assert list(entries) == rows and entries == tuple(rows)
-        assert repr(entries) == repr(tuple(rows))
-        with pytest.raises(IndexError):
-            entries[2]
+    def test_a_table_does_not_share_a_mutable_buffer(self):
+        psnr, bits = bytearray(struct.pack("d", 38.0)), bytearray(struct.pack("d", 5e5))
+        table = TraceTable({0: [30]}, psnr, bits)
+        psnr[:], bits[:] = struct.pack("d", 1.0), struct.pack("d", 1.0)
+        assert table.lookup(0, 30) == (38.0, 500000.0)
+
+    def test_tables_differing_in_one_value_are_unequal(self):
+        rows = {0: [(30, 38.0, 500000.0), (40, 34.0, 200000.0)]}
+        table = table_from_rows(rows)
+        assert table_from_rows(rows) == table
+        for changed in [(40, 34.0, 200001.0), (40, 34.5, 200000.0)]:
+            assert table_from_rows({0: [rows[0][0], changed]}) != table
 
     def test_step_reads_table_verbatim(self, table):
         noisy = DisturbanceSpec(
@@ -500,11 +506,6 @@ def trace_tables(draw):
     return rows
 
 
-NEWLINES = st.sampled_from(["\n", "\r", "\r\n"])
-# What str.splitlines() also splits at; only \n, \r and \r\n end a line.
-NOT_NEWLINES = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
-
-
 @given(
     rows=trace_tables(),
     bom=st.booleans(),
@@ -522,7 +523,7 @@ def test_load_agrees_with_the_rows_it_was_written_from(
     path = tmp_path_factory.getbasetemp() / "property.csv"
     path.write_bytes((("\ufeff" if bom else "") + text).encode())
     table = TraceTable.load(path)
-    assert table.rows == rows
+    assert rows_of(table) == rows
     copies = [copy.deepcopy(table), pickle.loads(pickle.dumps(table))]
     assert copies == [table, table]
     qps = [qp for entries in rows.values() for qp, _, _ in entries]
@@ -553,8 +554,8 @@ def test_no_other_character_ends_a_trace_line(tmp_path_factory, rows, char, newl
 def test_a_loaded_table_keeps_its_rows_compact(tmp_path):
     """A 1000-frame x 18-QP table held ~125 B per row as row tuples, and a
     parse that split the whole text into lines first peaked at ~4.4 MiB.
-    As columns read line by line it holds ~35 B per row, and the parse
-    peaks at ~1.2 MiB."""
+    As QP tuples and two float64 columns read line by line it holds ~23 B
+    per row, and the parse peaks at ~1.0 MiB."""
     rng = random.Random(1)
     path = tmp_path / "table.csv"
     with open(path, "w", encoding="utf-8") as table:
