@@ -87,31 +87,28 @@ class QpRange:
 
 @dataclass
 class ControllerState:
-    """Scalar accumulators for one stream.
+    """Scalar accumulators for one stream; ``qp_offset`` is the only argument.
 
-    ``prev_error`` holds the most recent error for the backward-difference
-    derivative (undefined before the first update). ``error_integral`` is
-    the running error sum, ``o_integral`` and ``o_double_integral`` the
-    single and double accumulations of the control variable, and
-    ``qp_offset`` the integration constant anchoring the emitted QP.
-    ``last_o`` mirrors the most recent control variable for the run trace.
+    ``qp_offset`` anchors the emitted QP. Every accumulator starts at zero
+    (or None) and only the primitives advance it: ``prev_error`` feeds the
+    backward-difference derivative, ``error_integral`` sums the errors,
+    ``o_integral`` and ``o_double_integral`` accumulate the control variable
+    once and twice, and ``last_o`` holds the latest one for the run trace.
     """
 
     qp_offset: float = 0.0
-    frame_index: int = 0
-    prev_error: float | None = None
-    error_integral: float = 0.0
-    o_integral: float = 0.0
-    o_double_integral: float = 0.0
-    prev_psnr: float | None = None
-    last_o: float = 0.0
-    o_pending: bool = field(default=False, repr=False)
+    frame_index: int = field(default=0, init=False)
+    prev_error: float | None = field(default=None, init=False)
+    error_integral: float = field(default=0.0, init=False)
+    o_integral: float = field(default=0.0, init=False)
+    o_double_integral: float = field(default=0.0, init=False)
+    prev_psnr: float | None = field(default=None, init=False)
+    last_o: float = field(default=0.0, init=False)
+    o_pending: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.qp_offset):
             raise InputDomainError(f"qp_offset must be finite, got {self.qp_offset!r}")
-        if self.frame_index < 0:
-            raise InputDomainError("frame_index must be nonnegative")
 
     def as_text(self) -> str:
         """Serialize to plain ``key=value`` lines for trace debugging."""

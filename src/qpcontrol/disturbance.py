@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import struct
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InputDomainError
@@ -45,8 +45,7 @@ class DisturbanceSpec:
     ``amplitude`` is in dB. Sinusoids use ``period`` >= 3 frames per cycle,
     steps switch on at ``step_frame``, and seeded noise draws uniform values
     in [-amplitude, amplitude] from a counter-based mix of (seed, frame), so
-    equal seeds give bitwise-identical sequences. The seed is mixed once,
-    when the spec is built.
+    equal seeds give bitwise-identical sequences.
     """
 
     kind: DisturbanceKind = DisturbanceKind.NONE
@@ -54,7 +53,6 @@ class DisturbanceSpec:
     period: int = 0
     step_frame: int = 0
     seed: int = 0
-    seed_word: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.kind, DisturbanceKind):
@@ -72,7 +70,6 @@ class DisturbanceSpec:
                 raise InputDomainError(
                     f"period must convert to a float, got {self.period}"
                 ) from None
-        object.__setattr__(self, "seed_word", _mix64(self.seed & _MASK64))
 
 
 def _mix64(x: int) -> int:
@@ -89,7 +86,7 @@ def disturbance_at(spec: DisturbanceSpec, frame_index: int) -> float:
         raise InputDomainError("frame_index must be nonnegative")
     kind = spec.kind
     if kind is _SEEDED_NOISE:  # uniform in [-amplitude, amplitude]
-        unit = _mix64(spec.seed_word ^ (frame_index & _MASK64)) / float(1 << 64)
+        unit = _mix64(_mix64(spec.seed & _MASK64) ^ (frame_index & _MASK64)) / float(1 << 64)
         return spec.amplitude * (2.0 * unit - 1.0)
     if kind is _SINUSOID:
         return spec.amplitude * math.sin(2.0 * math.pi * frame_index / spec.period)
@@ -123,7 +120,7 @@ def _seeded_noise_column(spec: DisturbanceSpec, n: int) -> list[float]:
         raise MemoryError(f"{n} noise lanes of 16 bytes exceed any bytes object")
     ones = int.from_bytes((b"\x01" + bytes(15)) * n, "little")
     low = int.from_bytes((b"\xff" * 8 + bytes(8)) * n, "little")
-    x = _lane_index(n) ^ (spec.seed_word * ones)
+    x = _lane_index(n) ^ (_mix64(spec.seed & _MASK64) * ones)
     x = (x + 0x9E3779B97F4A7C15 * ones) & low
     x = (((x ^ (x >> 30)) & low) * 0xBF58476D1CE4E5B9) & low
     x = (((x ^ (x >> 27)) & low) * 0x94D049BB133111EB) & low

@@ -5,9 +5,9 @@ plant stepper: each frame the PID, whose accumulators are loop locals,
 turns the previous frame's error signal into a QP, the plant encodes, and
 the outcome is appended to the trace. The fixed-QP variant holds the
 rounded anchor QP and serves as the uncontrolled baseline. Every
-run is deterministic in its configuration; experiments share no mutable
-state, so many configurations may execute concurrently, ordered by
-configuration index rather than completion time.
+run is deterministic in its configuration, and runs share no mutable
+state, so one configuration may run on many threads at once and each
+thread gets the same trace.
 """
 
 from __future__ import annotations

@@ -124,10 +124,6 @@ class PlantModel:
     def first_order(cls, inertia: float, **kwargs) -> "PlantModel":
         return cls(kind=PlantKind.FIRST_ORDER, inertia=inertia, **kwargs)
 
-    @classmethod
-    def trace_driven(cls, trace: TraceTable, **kwargs) -> "PlantModel":
-        return cls(kind=PlantKind.TRACE_DRIVEN, trace=trace, **kwargs)
-
     def reset(self) -> None:
         """Discard runtime state so the next step starts a fresh stream."""
         self.prev_psnr = self.initial_psnr

@@ -112,21 +112,6 @@ class TestSimulate:
         }
         assert "300 frames" in capsys.readouterr().out
 
-    def test_same_seed_is_byte_identical(self, tmp_path):
-        common = [
-            "--set", "plant.disturbance.kind=seeded_noise",
-            "--set", "plant.disturbance.amplitude=0.5",
-            "--seed", "9",
-        ]
-        assert run_cli("simulate", "--out", tmp_path / "a", *common) == 0
-        assert run_cli("simulate", "--out", tmp_path / "b", *common) == 0
-        assert (tmp_path / "a/trace.csv").read_bytes() == (
-            tmp_path / "b/trace.csv"
-        ).read_bytes()
-        assert (tmp_path / "a/metrics.json").read_bytes() == (
-            tmp_path / "b/metrics.json"
-        ).read_bytes()
-
     def test_different_seeds_differ(self, tmp_path):
         common = [
             "--set", "plant.disturbance.kind=seeded_noise",

@@ -292,7 +292,9 @@ class TestRoundTrip:
         self, trace_file, trace_path
     ):
         trace = TraceTable.load(trace_file)
-        plant = PlantModel.trace_driven(trace, trace_path=trace_path)
+        plant = PlantModel(
+            kind=PlantKind.TRACE_DRIVEN, trace=trace, trace_path=trace_path
+        )
         config = ExperimentConfig(plant=plant, objective=ControlObjective(), n_frames=2)
         with pytest.raises(ConfigError, match="plant.trace_path"):
             emit_config(config)

@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import math
-import random
 
 import pytest
 from hypothesis import example, given
@@ -37,24 +36,6 @@ def reference_plant(inertia=0.5, disturbance=None):
     if inertia > 0:
         return PlantModel.first_order(inertia, **kwargs)
     return PlantModel.zero_order(**kwargs)
-
-
-def metrics_oracle(psnr, bits, target):
-    """Brute-force recomputation of every report field via fsum."""
-    n = len(psnr)
-    mean_psnr = math.fsum(psnr) / n
-    error_db = abs(mean_psnr - target)
-    mean_bits = math.fsum(bits) / n
-    return {
-        "avg_psnr": mean_psnr,
-        "control_error_db": error_db,
-        "control_error_pct": 100.0 * error_db / target,
-        "quality_fluc_db": math.sqrt(
-            math.fsum((p - mean_psnr) ** 2 for p in psnr) / n
-        ),
-        "bitrate_mean": mean_bits,
-        "bit_fluc": math.sqrt(math.fsum((b - mean_bits) ** 2 for b in bits) / n),
-    }
 
 
 def make_records(psnr_values, bits_values=None):
@@ -360,19 +341,6 @@ class TestMetrics:
         )
         assert metrics.quality_fluc_db == 0.0
         assert metrics.bit_fluc == 0.0
-
-    def test_matches_brute_force_oracle_on_random_traces(self):
-        rng = random.Random(101)
-        objective = ControlObjective(target_psnr=34.0)
-        for _ in range(100):
-            n = rng.randrange(1, 400)
-            psnr = [rng.uniform(20, 50) for _ in range(n)]
-            bits = [rng.uniform(0, 1e6) for _ in range(n)]
-            report = compute_metrics(make_records(psnr, bits), objective)
-            expected = metrics_oracle(psnr, bits, 34.0)
-            for name, want in expected.items():
-                got = getattr(report, name)
-                assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12), name
 
 
 class TestCompare:

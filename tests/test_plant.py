@@ -190,6 +190,19 @@ class TestDisturbance:
         seq_b = [disturbance_at(b, t) for t in range(1000)]
         assert seq_a == seq_b
 
+    def test_a_spec_holds_only_its_config_fields(self):
+        names = [field.name for field in dataclasses.fields(DisturbanceSpec)]
+        assert names == ["kind", "amplitude", "period", "step_frame", "seed"]
+
+    def test_a_spec_compares_hashes_and_pickles_by_its_fields(self):
+        spec = DisturbanceSpec(kind=DisturbanceKind.SEEDED_NOISE, amplitude=1.0, seed=5)
+        twin = DisturbanceSpec(kind=DisturbanceKind.SEEDED_NOISE, amplitude=1.0, seed=5)
+        assert spec == twin and hash(spec) == hash(twin)
+        assert spec != dataclasses.replace(spec, seed=6)
+        loaded = pickle.loads(pickle.dumps(spec))
+        assert loaded == spec and hash(loaded) == hash(spec)
+        assert disturbance_column(loaded, 50) == disturbance_column(spec, 50)
+
     def test_noise_mix_gives_splitmix64s_published_outputs(self):
         """splitmix64 seeded with 0 (S. Vigna, ``splitmix64.c``) adds the
         gamma 0x9E3779B97F4A7C15 to its state and then mixes; ``_mix64``
@@ -227,7 +240,7 @@ class TestDisturbance:
 
 
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15  # splitmix64's increment
-# seed_word ^ t + GOLDEN_GAMMA passes 2**64 on every frame of this seed, so
+# _mix64(seed) ^ t + GOLDEN_GAMMA passes 2**64 on every frame of this seed, so
 # the lane-packed kernel must mask the carry before it shifts it down.
 CARRYING_SEED = 1
 
@@ -253,8 +266,8 @@ def columns(draw):
 
 class TestDisturbanceColumn:
     def test_the_carrying_seed_carries(self):
-        spec = DisturbanceSpec(kind=DisturbanceKind.SEEDED_NOISE, seed=CARRYING_SEED)
-        assert all((spec.seed_word ^ t) + GOLDEN_GAMMA >= 1 << 64 for t in range(5000))
+        word = _mix64(CARRYING_SEED)
+        assert all((word ^ t) + GOLDEN_GAMMA >= 1 << 64 for t in range(5000))
 
     @given(case=columns())
     @example(
@@ -421,12 +434,14 @@ class TestTraceTable:
         noisy = DisturbanceSpec(
             kind=DisturbanceKind.SEEDED_NOISE, amplitude=5.0, seed=7
         )
-        plant = PlantModel.trace_driven(table, disturbance=noisy)
+        plant = PlantModel(
+            kind=PlantKind.TRACE_DRIVEN, trace=table, disturbance=noisy
+        )
         outcome = step_plant(plant, 30, 0)
         assert (outcome.psnr, outcome.bits) == (38.0, 500000.0)
 
     def test_step_interpolates_and_errors_out_of_bounds(self, table):
-        plant = PlantModel.trace_driven(table)
+        plant = PlantModel(kind=PlantKind.TRACE_DRIVEN, trace=table)
         assert step_plant(plant, 35, 1).psnr == pytest.approx(35.5)
         with pytest.raises(TraceDomainError):
             step_plant(plant, 32, 9)

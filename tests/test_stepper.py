@@ -74,8 +74,9 @@ def trace_plants(draw):
             (qp, draw(st.floats(0.0, 60.0)), draw(st.floats(0.0, 1e6)))
             for qp in sorted({QP_MIN, QP_MAX, *inner})
         ]
-    return PlantModel.trace_driven(
-        table_from_rows(rows),
+    return PlantModel(
+        kind=PlantKind.TRACE_DRIVEN,
+        trace=table_from_rows(rows),
         disturbance=draw(disturbances),
         initial_psnr=draw(st.none() | st.floats(0.0, 60.0)),
     )
@@ -147,7 +148,7 @@ def psnr_stream_config(psnrs, gains, objective, qp_range, qp_offset, kind_patter
     qps = range(qp_range.qp_min, qp_range.qp_max + 1)
     rows = {j: [(qp, psnr, 0.0) for qp in qps] for j, psnr in enumerate([*psnrs, 0.0])}
     return ExperimentConfig(
-        plant=PlantModel.trace_driven(table_from_rows(rows)),
+        plant=PlantModel(kind=PlantKind.TRACE_DRIVEN, trace=table_from_rows(rows)),
         objective=objective,
         gains=gains,
         qp_range=qp_range,
