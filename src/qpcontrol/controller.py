@@ -20,7 +20,7 @@ threads, and an instance may move between threads between frames.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 from .errors import InputDomainError
@@ -111,20 +111,12 @@ class ControllerState:
             raise InputDomainError(f"qp_offset must be finite, got {self.qp_offset!r}")
 
     def as_text(self) -> str:
-        """Serialize to plain ``key=value`` lines for trace debugging."""
-        order = (
-            "prev_error",
-            "error_integral",
-            "o_integral",
-            "o_double_integral",
-            "prev_psnr",
-            "qp_offset",
-            "frame_index",
-        )
+        """Serialize every field, in declaration order, to plain ``key=value``
+        lines for trace debugging."""
         def fmt(value):
             return "none" if value is None else repr(value)
 
-        return "\n".join(f"{name}={fmt(getattr(self, name))}" for name in order)
+        return "\n".join(f"{f.name}={fmt(getattr(self, f.name))}" for f in fields(self))
 
 
 def compute_error(

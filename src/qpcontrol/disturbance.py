@@ -8,10 +8,16 @@ sinusoid and seeded noise in bulk, the last with the splitmix64 finalizer
 (Steele, Lea and Flood, "Fast Splittable Pseudorandom Number Generators",
 OOPSLA 2014) run over every frame at once, the frames packed into the lanes
 of one big int; constant and step map ``disturbance_at`` over the frames.
+
+Run steppers read their column from ``_shared_column``: a process-wide memo
+of immutable tuples keyed by ``repr(spec)`` and the frame count, at most 16
+columns of 32 B per frame (an 8-byte slot and a 24-byte float), so at most
+``16 * n_frames * 32`` bytes, 1 MB at 2,000 frames.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import sys
@@ -146,3 +152,14 @@ def disturbance_column(spec: DisturbanceSpec, n_frames: int) -> list[float]:
     if kind is _NONE:
         return [0.0] * n_frames
     return [disturbance_at(spec, t) for t in range(n_frames)]
+
+
+@functools.lru_cache(maxsize=16)
+def _memo_column(spec_repr: str, n_frames: int, spec: DisturbanceSpec) -> tuple[float, ...]:
+    return tuple(disturbance_column(spec, n_frames))
+
+
+def _shared_column(spec: DisturbanceSpec, n_frames: int) -> tuple[float, ...]:
+    # Keyed by repr, not by the spec: specs with amplitudes 0.0 and -0.0
+    # compare equal, yet their columns differ in the sign of zero.
+    return _memo_column(repr(spec), n_frames, spec)

@@ -19,9 +19,11 @@ conventional halving-per-six-QP relation.
 and keeps the previous output on the model. ``plant_stepper(model,
 n_frames)`` resolves a model once into a per-run closure with the same
 arithmetic in the same order, fed frames ``t`` in ``range(n_frames)``. It
-builds the run's whole disturbance column up front with
-``disturbance_column``, which equals ``disturbance_at`` frame by frame, bit
-for bit; it keeps the previous output itself and never touches the model,
+reads the run's whole disturbance column, which equals ``disturbance_at``
+frame by frame, bit for bit, from a memo that every run in the process
+shares: immutable tuples keyed by the exact spec (its ``repr``) and the
+frame count, at most 16 of them, so at most ``16 * n_frames * 32`` bytes.
+The stepper keeps the previous output itself and never touches the model,
 so one model may back any number of concurrent runs.
 """
 
@@ -35,8 +37,8 @@ from typing import Callable
 from .disturbance import (  # DisturbanceKind is re-exported
     DisturbanceKind,
     DisturbanceSpec,
+    _shared_column,
     disturbance_at,
-    disturbance_column,
 )
 from .errors import InputDomainError
 from ._tracetable import TraceTable  # re-exported
@@ -171,12 +173,12 @@ def plant_stepper(
 
     Fed integer QPs at frames t = 0, 1, ..., n_frames - 1, and no other
     frame, the stepper returns bit for bit what ``step_plant`` returns on a
-    freshly reset model. A synthetic plant's disturbance is built once, as
-    the run's ``disturbance_column``, and each step reads its frame's entry;
-    the column lives as long as the stepper. The stepper keeps the previous
-    PSNR itself, starting at ``initial_psnr``, and never mutates or copies
-    the model. A non-finite PSNR raises InputDomainError on the frame that
-    makes it.
+    freshly reset model. A synthetic plant's disturbance column is taken
+    once from the process-wide memo, an immutable tuple shared with every
+    run over the same spec and frame count, and each step reads its frame's
+    entry. The stepper keeps the previous PSNR itself, starting at
+    ``initial_psnr``, and never mutates or copies the model. A non-finite
+    PSNR raises InputDomainError on the frame that makes it.
     """
     isfinite = math.isfinite
     if model.kind is PlantKind.TRACE_DRIVEN:
@@ -190,7 +192,7 @@ def plant_stepper(
 
         return step
 
-    ws = disturbance_column(model.disturbance, n_frames)
+    ws = _shared_column(model.disturbance, n_frames)
     # Bits per QP, each entry made and checked on the QP's first use; a QP
     # range has no size limit, so the memo is not built ahead of the run.
     rates: dict[int, float] = {}

@@ -443,6 +443,31 @@ class TestSweep:
         assert runs == ["run_fixed_qp"]
         assert not out.exists()
 
+    def test_rows_equal_one_point_sweeps_in_fresh_processes(self, tmp_path):
+        # Points of one disturbance share its column within the sweep; a
+        # fresh process starts with no column built.
+        src = Path(__file__).resolve().parent.parent / "src"
+        base = as_set(
+            ["n_frames=60", "plant.disturbance.amplitude=1.5", "plant.disturbance.period=30"]
+        )
+        grid = ["--grid", "plant.disturbance.kind=seeded_noise,sinusoid"]
+        grid += ["--grid", "objective.lambda=0,1"]
+        assert run_cli("sweep", "--out", tmp_path / "grid", *base, *grid) == 0
+        header, *rows = (tmp_path / "grid" / "sweep.csv").read_bytes().splitlines()
+        assert len(rows) == 4
+        for row in rows:
+            kind, lam = row.decode().split(",")[:2]
+            out = tmp_path / f"{kind}_{lam}"
+            point = ["--grid", f"plant.disturbance.kind={kind}"]
+            point += ["--grid", f"objective.lambda={lam}"]
+            subprocess.run(
+                [sys.executable, "-m", "qpcontrol.cli", "sweep", "--out", out, *base, *point],
+                env={**os.environ, "PYTHONPATH": str(src)},
+                capture_output=True,
+                check=True,
+            )
+            assert (out / "sweep.csv").read_bytes().splitlines() == [header, row]
+
     @pytest.mark.parametrize(
         "grid, flag",
         [

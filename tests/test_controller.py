@@ -1,5 +1,6 @@
 """Controller unit tests: error signal, PID algebra, QP policy, sequencing."""
 
+import dataclasses
 import math
 import random
 
@@ -324,16 +325,10 @@ class TestControllerFrame:
             assert self.step(37.2, state) == 32
 
 
-class TestReset:
-    def test_state_text_lists_every_field(self):
+class TestStateText:
+    def test_state_text_lists_every_field_in_declaration_order(self):
         text = ControllerState(qp_offset=32.0).as_text()
-        for name in (
-            "prev_error",
-            "error_integral",
-            "o_integral",
-            "o_double_integral",
-            "prev_psnr",
-            "qp_offset",
-            "frame_index",
-        ):
-            assert f"{name}=" in text
+        keys = [line.partition("=")[0] for line in text.splitlines()]
+        names = [f.name for f in dataclasses.fields(ControllerState)]
+        assert keys == names
+        assert {"last_o", "o_pending"} <= set(keys)

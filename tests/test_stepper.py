@@ -20,6 +20,7 @@ from qpcontrol.controller import (
     compute_error,
     controller_frame,
 )
+from qpcontrol.disturbance import _memo_column, _shared_column, disturbance_at
 from qpcontrol.errors import InputDomainError
 from qpcontrol.harness import (
     ExperimentConfig,
@@ -385,6 +386,7 @@ def test_one_config_runs_on_many_threads_at_once():
         n_frames=400,
     )
     want = run_closed_loop(config)
+    _memo_column.cache_clear()  # the threads race to fill the shared column
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -394,3 +396,70 @@ def test_one_config_runs_on_many_threads_at_once():
     finally:
         sys.setswitchinterval(interval)
     assert all(result == want for result in results)
+
+
+@settings(max_examples=100)
+@given(
+    kind=st.sampled_from(DisturbanceKind),
+    amplitudes=st.sampled_from([(0.0, -0.0), (-0.0, 0.0), (1, 1.0), (1.0, 1)]),
+    period=st.integers(3, 60),
+    step_frame=st.integers(-3, MAX_FRAMES),
+    seed=st.integers(-(2**70), 2**70),
+    n_frames=st.integers(1, MAX_FRAMES),
+)
+def test_a_run_after_an_equal_spec_reads_a_column_of_its_own(
+    kind, amplitudes, period, step_frame, seed, n_frames
+):
+    # Specs that compare equal but hold 0.0 and -0.0 (or 1 and 1.0) must not
+    # share a column. At QP 0 on a zero-order plant with intercept -0.0, the
+    # PSNR is -0.0 + w, so a column of the other sign of zero shows.
+    first, second = (
+        DisturbanceSpec(kind, amplitude, period, step_frame, seed) for amplitude in amplitudes
+    )
+    assert first == second
+    configs = [
+        ExperimentConfig(
+            plant=PlantModel.zero_order(psnr_intercept=-0.0, disturbance=spec),
+            objective=ControlObjective(target_psnr=37.2),
+            qp_offset=0.0,
+            n_frames=n_frames,
+        )
+        for spec in (first, second)
+    ]
+    for run in (run_fixed_qp, run_closed_loop):
+        _memo_column.cache_clear()
+        run(configs[0])
+        got = record_bits(run(configs[1]))
+        column = _shared_column(second, n_frames)
+        _memo_column.cache_clear()
+        assert got == record_bits(run(configs[1]))
+        assert [repr(w) for w in column] == [
+            repr(disturbance_at(second, t)) for t in range(n_frames)
+        ]
+
+
+def test_the_memo_keeps_its_bound_and_an_evicted_column_is_rebuilt_the_same():
+    def noise_run(seed):
+        spec = DisturbanceSpec(DisturbanceKind.SEEDED_NOISE, 1.0, seed=seed)
+        plant = PlantModel.first_order(0.5, disturbance=spec)
+        config = ExperimentConfig(plant, ControlObjective(), n_frames=50)
+        return record_bits(run_closed_loop(config))
+
+    _memo_column.cache_clear()
+    bound = _memo_column.cache_info().maxsize
+    first = noise_run(0)
+    for seed in range(1, bound + 4):
+        noise_run(seed)
+        assert _memo_column.cache_info().currsize <= bound
+    misses = _memo_column.cache_info().misses
+    assert noise_run(0) == first
+    assert _memo_column.cache_info().misses == misses + 1  # evicted, so rebuilt
+
+
+def test_the_shared_column_is_an_immutable_tuple():
+    spec = DisturbanceSpec(DisturbanceKind.SINUSOID, 2.0, period=30)
+    column = _shared_column(spec, 40)
+    assert type(column) is tuple
+    assert _shared_column(spec, 40) is column
+    with pytest.raises(TypeError):
+        column[0] = 99.0
