@@ -8,8 +8,8 @@ rounded anchor QP and serves as the uncontrolled baseline. Every
 run is deterministic in its configuration, and runs share no mutable
 state, so one configuration may run on many threads at once and each
 thread gets the same trace. They share only immutable disturbance columns,
-from a process-wide memo keyed by the exact spec and frame count that holds
-at most ``16 * n_frames * 32`` bytes (1 MB at 2,000 frames).
+from a process-wide memo keyed by the exact spec and frame count (its
+memory bound is stated in ``qpcontrol.disturbance``).
 """
 
 from __future__ import annotations

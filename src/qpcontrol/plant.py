@@ -22,7 +22,7 @@ arithmetic in the same order, fed frames ``t`` in ``range(n_frames)``. It
 reads the run's whole disturbance column, which equals ``disturbance_at``
 frame by frame, bit for bit, from a memo that every run in the process
 shares: immutable tuples keyed by the exact spec (its ``repr``) and the
-frame count, at most 16 of them, so at most ``16 * n_frames * 32`` bytes.
+frame count, whose memory bound ``qpcontrol.disturbance`` states.
 The stepper keeps the previous output itself and never touches the model,
 so one model may back any number of concurrent runs.
 """

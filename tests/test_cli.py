@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from qpcontrol import cli
 from qpcontrol.cli import build_parser, main
 from qpcontrol.config import SCHEMA, parse_config
+from qpcontrol.disturbance import _memo_column
 from qpcontrol.harness import (
     MetricsReport,
     RunMode,
@@ -42,6 +43,18 @@ INVALID_VALUES = {
     "kind_pattern": ["kind_pattern=x"],
     "n_frames": ["n_frames=0"],
 }
+
+
+# ``main`` under a 256 MiB address-space cap; prints the peak RSS (KiB on
+# Linux) and exits with main's code.
+CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (256 * 2**20, 256 * 2**20))
+from qpcontrol.cli import main
+code = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+sys.exit(code)
+"""
 
 
 def run_cli(*args):
@@ -468,6 +481,21 @@ class TestSweep:
             )
             assert (out / "sweep.csv").read_bytes().splitlines() == [header, row]
 
+    def test_a_sweep_builds_each_distinct_disturbance_once(self, tmp_path):
+        overrides = [
+            "n_frames=40", "plant.disturbance.amplitude=1.5", "plant.disturbance.period=30"
+        ]
+        grid = [
+            "plant.disturbance.kind=seeded_noise,sinusoid",
+            "objective.lambda=0,1",
+            "mode=controlled,fixed",
+            "kind_pattern=inter,intra_every:12",
+        ]
+        _memo_column.cache_clear()
+        args = as_set(overrides) + [arg for axis in grid for arg in ("--grid", axis)]
+        assert run_cli("sweep", "--out", tmp_path / "out", *args) == 0
+        assert _memo_column.cache_info().misses == 2
+
     @pytest.mark.parametrize(
         "grid, flag",
         [
@@ -612,17 +640,29 @@ class TestExitCodes:
         assert err.startswith("error: ") and "memory" in err and "Traceback" not in err
         assert not out.exists()
 
-    def test_seeded_noise_over_more_frames_than_memory_holds_exits_three(
-        self, tmp_path, capsys
-    ):
+    @pytest.mark.parametrize("kind", [kind.value for kind in DisturbanceKind])
+    def test_more_frames_than_any_list_holds_exits_three_at_once(self, tmp_path, kind):
+        # In a child capped at 256 MiB of address space, so that a kind that
+        # builds frames before it fails stays bounded and fails the peak check
+        # instead of filling the runner's memory.
+        src = Path(__file__).resolve().parent.parent / "src"
         overrides = [
             f"n_frames={sys.maxsize}",
-            "plant.disturbance.kind=seeded_noise",
+            f"plant.disturbance.kind={kind}",
             "plant.disturbance.amplitude=1",
+            "plant.disturbance.period=30",
         ]
         out = tmp_path / "out"
-        assert run_cli("simulate", "--out", out, *as_set(overrides)) == 3
-        assert capsys.readouterr().err == "error: out of memory; n_frames may be too large\n"
+        child = subprocess.run(
+            [sys.executable, "-c", CAPPED_MAIN, "simulate", "--out", out, *as_set(overrides)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert child.returncode == 3
+        assert child.stderr == "error: out of memory; n_frames may be too large\n"
+        assert int(child.stdout) < 64 * 1024  # peak RSS in KiB: no frame was built
         assert not out.exists()
 
     @pytest.mark.parametrize("period, code", [(1, 2), (2, 2), (3, 0)])
