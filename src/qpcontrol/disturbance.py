@@ -37,9 +37,8 @@ class DisturbanceKind(Enum):
 
 # Bound once by name: each ``DisturbanceKind.X`` lookup costs about as much
 # as a formula, and disturbance_at compares against these on every call.
-_NONE, _CONSTANT = DisturbanceKind.NONE, DisturbanceKind.CONSTANT
-_STEP, _SINUSOID = DisturbanceKind.STEP, DisturbanceKind.SINUSOID
-_SEEDED_NOISE = DisturbanceKind.SEEDED_NOISE
+_CONSTANT, _STEP = DisturbanceKind.CONSTANT, DisturbanceKind.STEP
+_SINUSOID, _SEEDED_NOISE = DisturbanceKind.SINUSOID, DisturbanceKind.SEEDED_NOISE
 
 
 @dataclass(frozen=True)
@@ -105,12 +104,10 @@ def disturbance_column(spec: DisturbanceSpec, n_frames: int) -> list[float]:
     """``[disturbance_at(spec, t) for t in range(n_frames)]``."""
     if n_frames < 0:
         raise InputDomainError("n_frames must be nonnegative")
-    # Allocated first, so a count no list can hold raises MemoryError before
-    # any frame is computed, whatever the kind.
-    column = [0.0] * n_frames
-    if spec.kind is not _NONE:
-        column[:] = map(functools.partial(disturbance_at, spec), range(n_frames))
-    return column
+    # A discarded guard: a count no list can hold raises MemoryError here,
+    # before any frame is computed, whatever the kind.
+    [0.0] * n_frames
+    return list(map(functools.partial(disturbance_at, spec), range(n_frames)))
 
 
 @functools.lru_cache(maxsize=16)
