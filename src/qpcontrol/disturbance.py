@@ -25,6 +25,7 @@ from enum import Enum
 from .errors import InputDomainError
 
 _MASK64 = (1 << 64) - 1
+_TWO_64 = float(1 << 64)
 
 
 class DisturbanceKind(Enum):
@@ -83,13 +84,18 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+@functools.lru_cache(maxsize=16, typed=True)
+def _seed_word(seed: int) -> int:  # mixed once per seed, not once per frame
+    return _mix64(seed & _MASK64)
+
+
 def disturbance_at(spec: DisturbanceSpec, frame_index: int) -> float:
     """Disturbance value (dB) at a frame; pure in (spec, frame_index)."""
     if frame_index < 0:
         raise InputDomainError("frame_index must be nonnegative")
     kind = spec.kind
     if kind is _SEEDED_NOISE:  # uniform in [-amplitude, amplitude]
-        unit = _mix64(_mix64(spec.seed & _MASK64) ^ (frame_index & _MASK64)) / float(1 << 64)
+        unit = _mix64(_seed_word(spec.seed) ^ (frame_index & _MASK64)) / _TWO_64
         return spec.amplitude * (2.0 * unit - 1.0)
     if kind is _SINUSOID:
         return spec.amplitude * math.sin(2.0 * math.pi * frame_index / spec.period)

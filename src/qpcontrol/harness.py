@@ -34,6 +34,7 @@ from .plant import PlantKind, PlantModel, plant_stepper, rate_model
 
 TRACE_CSV_HEADER = "frame,qp,psnr_db,bits,error,o"
 _TRACE_CSV_ROW = "%d,%d,%.6f,%.6f,%.6f,%.6f\n"  # one FrameRecord
+_INTER, _INTRA = FrameKind.INTER, FrameKind.INTRA  # bound once: Enum reads are slow
 
 
 class RunMode(Enum):
@@ -41,17 +42,15 @@ class RunMode(Enum):
     FIXED_QP = "fixed"
 
 
-def parse_kind_pattern(pattern: str) -> Callable[[int], FrameKind]:
-    """Turn a schedule pattern into a frame-index -> FrameKind map.
-
-    Supported patterns: ``inter`` (all inter), ``intra`` (all intra) and
-    ``intra_every:N`` (intra at every Nth frame starting from 0, inter
-    elsewhere). Every pattern covers an unbounded frame range.
-    """
+def _intra_period(pattern: str) -> int:
+    """Parse a schedule pattern into its intra period: frame t is intra when
+    ``period and t % period == 0``. ``inter`` has period 0 (all inter),
+    ``intra`` period 1 (all intra) and ``intra_every:N`` period N (intra at
+    every Nth frame from 0). Every pattern covers an unbounded frame range."""
     if pattern == "inter":
-        return lambda t: FrameKind.INTER
+        return 0
     if pattern == "intra":
-        return lambda t: FrameKind.INTRA
+        return 1
     if pattern.startswith("intra_every:"):
         tail = pattern.split(":", 1)[1]
         try:
@@ -64,11 +63,17 @@ def parse_kind_pattern(pattern: str) -> Callable[[int], FrameKind]:
             raise InputDomainError(
                 f"kind_pattern {pattern!r}: intra_every period must be >= 1"
             )
-        return lambda t: FrameKind.INTRA if t % period == 0 else FrameKind.INTER
+        return period
     raise InputDomainError(
         f"kind_pattern {pattern!r} is unknown; "
         "expected 'inter', 'intra' or 'intra_every:N'"
     )
+
+
+def parse_kind_pattern(pattern: str) -> Callable[[int], FrameKind]:
+    """Turn a schedule pattern into a frame-index -> FrameKind map."""
+    period = _intra_period(pattern)
+    return lambda t: _INTRA if period and t % period == 0 else _INTER
 
 
 @dataclass(frozen=True)
@@ -93,7 +98,7 @@ class ExperimentConfig:
             )
         if not math.isfinite(self.qp_offset):
             raise InputDomainError(f"qp_offset must be finite, got {self.qp_offset!r}")
-        parse_kind_pattern(self.kind_pattern)  # validate eagerly
+        _intra_period(self.kind_pattern)  # validate eagerly
         if self.plant.kind is PlantKind.TRACE_DRIVEN:
             # Frame coverage only: a frame's QP span is checked per lookup.
             rows = self.plant.trace.rows
@@ -164,22 +169,22 @@ def run_closed_loop(config: ExperimentConfig) -> list[FrameRecord]:
     PID accumulators are locals of the loop, updated with
     ``controller_frame``'s arithmetic in the same order, so the QPs and
     control variables match it bit for bit, and a non-finite error, ``o``
-    or raw QP raises the same InputDomainError on the same frame. The plant
-    is resolved once into a per-run stepper, so the configured model is
-    never copied or mutated. Each frame's error is computed once, from the
-    fresh measurement with the ``compute_error`` formula, recorded and fed
-    to the next frame. ``config.mode`` is not read: the caller chooses the
-    run.
+    or raw QP raises the same InputDomainError on the same frame. The
+    schedule is read once as its intra period, and the plant is resolved
+    once into a per-run stepper that never copies or mutates the model.
+    Each frame's error is computed once, from the fresh measurement with
+    the ``compute_error`` formula, recorded and fed to the next frame.
+    ``config.mode`` is not read: the caller chooses the run.
     """
     step = plant_stepper(config.plant, config.n_frames)
-    kind_at = parse_kind_pattern(config.kind_pattern)
+    period = _intra_period(config.kind_pattern)
     kp, ki, kd = config.gains.kp, config.gains.ki, config.gains.kd
     qp_min, qp_max = config.qp_range.qp_min, config.qp_range.qp_max
     anchor = config.qp_offset
     lam = config.objective.lambda_
     keep = 1.0 - lam
     target = config.objective.target_psnr
-    isfinite, floor, ceil, inter = math.isfinite, math.floor, math.ceil, FrameKind.INTER
+    isfinite, floor, ceil = math.isfinite, math.floor, math.ceil
     records: list[FrameRecord] = []
     append = records.append
     record = tuple.__new__
@@ -187,19 +192,17 @@ def run_closed_loop(config: ExperimentConfig) -> list[FrameRecord]:
     error = prev_error = prev_psnr = 0.0
     for t in range(config.n_frames):
         if t:  # frame 0 emits the rounded anchor with o = 0.0
-            if not isfinite(error):
-                raise InputDomainError(f"error must be finite, got {error!r}")
             error_integral += error
             derivative = error - prev_error if t > 1 else 0.0
             o = kp * error + ki * error_integral - kd * derivative
             prev_error = error
-            if not isfinite(o):
-                raise InputDomainError(f"o must be finite, got {o!r}")
         o_integral += o
         o_double_integral += o_integral
-        raw = anchor + (o_integral if kind_at(t) is inter else o_double_integral)
-        if not isfinite(raw):
-            raise InputDomainError(f"raw_qp must be finite, got {raw!r}")
+        raw = anchor + (o_double_integral if period and t % period == 0 else o_integral)
+        if not isfinite(raw):  # a non-finite error or o leaves raw non-finite
+            for name, value in (("error", error), ("o", o), ("raw_qp", raw)):
+                if not isfinite(value):
+                    raise InputDomainError(f"{name} must be finite, got {value!r}")
         qp = floor(raw + 0.5) if raw >= 0 else ceil(raw - 0.5)
         qp = qp_min if qp < qp_min else qp_max if qp > qp_max else qp
         psnr, bits = step(qp, t)

@@ -212,8 +212,11 @@ def plant_stepper(
             raise InputDomainError(f"psnr must be finite, got {psnr!r}")
         if first_order:
             prev = psnr
-        if qp not in rates:
-            rates[qp] = _checked_bits(rate_model(model, qp))
-        return psnr, rates[qp]
+        try:
+            return psnr, rates[qp]
+        except KeyError:  # the QP's first use; a refused entry chains no KeyError
+            pass
+        bits = rates[qp] = _checked_bits(rate_model(model, qp))
+        return psnr, bits
 
     return step

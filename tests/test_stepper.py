@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qpcontrol import plant as plant_module
 from qpcontrol.controller import (
     ControllerState,
     ControlObjective,
@@ -41,6 +42,8 @@ from trace_rows import table_from_rows
 
 QP_MIN, QP_MAX = 0, 51
 MAX_FRAMES = 40
+# Example counts scale with the loaded Hypothesis profile: 100 by default.
+EXAMPLES = settings.default.max_examples
 
 disturbances = st.builds(
     DisturbanceSpec,
@@ -187,7 +190,7 @@ def loop_and_reference(gains, objective, qp_bounds, qp_offset, kind_pattern, psn
     )
 
 
-@settings(max_examples=300)
+@settings(max_examples=3 * EXAMPLES)
 @given(**controller_inputs)
 @example(  # psnr - prev_psnr overflows on frame 2: a non-finite error
     gains=PidGains(),
@@ -214,7 +217,7 @@ def test_closed_loop_matches_controller_frame_bit_for_bit(
     assert loop == reference
 
 
-@settings(max_examples=300)
+@settings(max_examples=3 * EXAMPLES)
 @given(**controller_inputs)
 def test_every_qp_lies_in_range_or_the_frame_raises(
     gains, objective, qp_bounds, qp_offset, kind_pattern, psnrs
@@ -232,12 +235,15 @@ def test_every_qp_lies_in_range_or_the_frame_raises(
     [
         # psnr - prev_psnr overflows, so the error is -inf
         (PidGains(), [1e308, -1e308], "error must be finite"),
+        # the same error with every gain 0: o is nan (0 * inf) on that frame
+        # too, and the error's message comes first
+        (PidGains(kp=0.0, ki=0.0, kd=0.0), [1e308, -1e308], "error must be finite"),
         # kp * error overflows
         (PidGains(kp=1e300), [1e300], "o must be finite"),
         # o is finite, but qp_offset + o_integral is not
         (PidGains(kp=2.0, ki=0.0, kd=0.0), [1e308, 1e308], "raw_qp must be finite"),
     ],
-    ids=["error", "o", "raw_qp"],
+    ids=["error", "error_with_zero_gains", "o", "raw_qp"],
 )
 def test_closed_loop_raises_where_the_primitives_raise(gains, psnrs, message):
     objective = ControlObjective(target_psnr=37.2, lambda_=0.5)
@@ -314,7 +320,7 @@ def configs(draw):
     )
 
 
-@settings(max_examples=60)
+@settings(max_examples=EXAMPLES * 3 // 5)
 @given(config=configs())
 def test_run_records_match_the_primitive_loop(config):
     before = dict(vars(config.plant))
@@ -361,6 +367,46 @@ def test_non_finite_bits_raise_when_the_rate_entry_is_made():
             step(0, t)
 
 
+def count_rate_model_calls(monkeypatch):
+    """The QP of every ``rate_model`` call a stepper makes from now on."""
+    calls = []
+    rate_model = plant_module.rate_model
+
+    def counted(model, qp):
+        calls.append(qp)
+        return rate_model(model, qp)
+
+    monkeypatch.setattr(plant_module, "rate_model", counted)
+    return calls
+
+
+def test_the_rate_memo_makes_each_qps_bits_once_per_run(monkeypatch):
+    config = ExperimentConfig(
+        plant=PlantModel.first_order(
+            0.5, disturbance=DisturbanceSpec(DisturbanceKind.SINUSOID, 4.0, period=30)
+        ),
+        objective=ControlObjective(target_psnr=37.2),
+        n_frames=300,
+    )
+    calls = count_rate_model_calls(monkeypatch)
+    qps = [r.qp for r in run_closed_loop(config)]
+    assert len(set(qps)) > 1  # the QP moves
+    assert sorted(calls) == sorted(set(qps))
+
+
+def test_a_refused_qp_raises_on_its_first_frame_and_is_not_stored(monkeypatch):
+    step = plant_stepper(PlantModel.zero_order(rate_ref_bits=1e308, rate_ref_qp=40), 5)
+    calls = count_rate_model_calls(monkeypatch)
+    assert step(40, 0)[1] == 1e308
+    assert step(41, 1)[1] < 1e308
+    for t in (2, 3):  # QP 0's bits overflow: each use makes and refuses them
+        with pytest.raises(InputDomainError, match="bits must be finite") as refused:
+            step(0, t)
+        assert refused.value.__context__ is None
+    assert step(40, 4)[1] == 1e308
+    assert calls == [40, 41, 0, 0]
+
+
 @pytest.mark.parametrize(
     "rate_ref_qp", [10**400, 10000], ids=["offset_past_the_float_range", "scale_overflows"]
 )
@@ -398,7 +444,7 @@ def test_one_config_runs_on_many_threads_at_once():
     assert all(result == want for result in results)
 
 
-@settings(max_examples=100)
+@settings(max_examples=EXAMPLES)
 @given(
     kind=st.sampled_from(DisturbanceKind),
     amplitudes=st.sampled_from([(0.0, -0.0), (-0.0, 0.0), (1, 1.0), (1.0, 1)]),
