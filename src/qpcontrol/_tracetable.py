@@ -3,8 +3,9 @@
 A trace CSV has the header ``frame,qp,psnr_db,bits`` and one row per
 tabulated (frame, QP), strictly sorted by (frame, qp). ``TraceTable.load``
 is the only parser: it reads the file line by line, by the rule that reads
-a config file. A loaded table keeps each frame's QPs as a tuple of ints
-and all rows' PSNR and bits in two read-only float64 columns, ~23 B/row.
+a config file. A loaded table keeps each frame's QPs as a tuple of ints,
+one per distinct QP list, and all rows' PSNR and bits in two read-only
+float64 columns, ~27 B/row.
 
 ``qpcontrol.plant`` re-exports ``TraceTable``. It lives apart because a
 process without bytecode compiles each module from source, and the
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,6 +24,7 @@ from pathlib import Path
 from .errors import InputDomainError, TraceDomainError
 
 TRACE_HEADER = "frame,qp,psnr_db,bits"
+_EXACT = 2**52  # within it a float QP weighs as the equal int QP, bit for bit
 
 
 @dataclass(frozen=True, init=False)
@@ -33,26 +36,35 @@ class TraceTable:
     and ``bits``, frame after frame, in QP order. ``load`` builds every
     table and checks every row. The constructor takes no rows, only what
     ``load`` fills: each frame's QPs, in frame order, and all rows' PSNR
-    and bits, in that order, as float64 bytes. Lookups bisect a frame's
-    QPs; they are exact at tabulated QPs and linear in qp between them,
-    and anything outside the tabulated span raises TraceDomainError. The
-    table is frozen, so one table may back any number of plants and runs.
+    and bits, in that order, as float64 bytes. Lookups are exact at
+    tabulated QPs and linear in qp between them, where a PSNR past the
+    float range raises InputDomainError; a QP outside the span raises
+    TraceDomainError. A QP tuple that several frames share memoizes each
+    in-span int QP's row offset and weight, found by bisection on first
+    use; the memo, at most the span's width, is left out of equality,
+    ``repr`` and pickling. One frozen table may back any number of runs.
     """
 
     rows: dict[int, tuple[int, ...]]
     psnr: memoryview = field(repr=False)
     bits: memoryview = field(repr=False)
-    _starts: dict[int, int] = field(compare=False, repr=False)
+    _frames: dict[int, tuple] = field(compare=False, repr=False)
 
     def __init__(self, qps: dict[int, Iterable[int]], psnr: bytes, bits: bytes) -> None:
-        rows, starts, start = {}, {}, 0
-        for frame, frame_qps in qps.items():
-            rows[frame], starts[frame] = tuple(frame_qps), start
-            start += len(rows[frame])
+        grids: dict[tuple[int, ...], tuple[int, ...]] = {}  # one per distinct QP list
+        rows = {f: grids.setdefault(g, g) for f, g in zip(qps, map(tuple, qps.values()))}
+        memos = {  # for the QP tuples that several frames share
+            g: {} for g, n in Counter(rows.values()).items()
+            if n > 1 and all(abs(q) <= _EXACT for q in g)
+        }
+        frames, start = {}, 0
+        for frame, grid in rows.items():
+            frames[frame] = (start, grid, memos.get(grid))
+            start += len(grid)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "psnr", memoryview(bytes(psnr)).cast("d"))
         object.__setattr__(self, "bits", memoryview(bytes(bits)).cast("d"))
-        object.__setattr__(self, "_starts", starts)
+        object.__setattr__(self, "_frames", frames)
 
     def __reduce__(self):
         # Memoryviews do not pickle: a table goes as its QP tuples and the
@@ -111,19 +123,32 @@ class TraceTable:
 
     def lookup(self, frame_index: int, qp: int) -> tuple[float, float]:
         try:
-            qps, start = self.rows[frame_index], self._starts[frame_index]
+            start, qps, memo = self._frames[frame_index]
         except KeyError:
             raise TraceDomainError(f"frame {frame_index} is not tabulated") from None
-        i = bisect_left(qps, qp)
+        if memo is not None and (place := memo.get(qp)) is not None:
+            i, w = place
+        else:
+            i = bisect_left(qps, qp)
+            if i < len(qps) and qps[i] == qp:
+                w = None  # a flag, so a weight that underflows to 0.0 interpolates
+            elif i == 0 or i == len(qps):
+                raise TraceDomainError(
+                    f"qp {qp} outside tabulated span "
+                    f"[{qps[0]}, {qps[-1]}] at frame {frame_index}"
+                )
+            else:
+                lo = qps[i - 1]
+                w = (qp - lo) / (qps[i] - lo)
+            if memo is not None and type(qp) is int:
+                memo[qp] = i, w
         j = start + i
+        if w is None:
+            return self.psnr[j], self.bits[j]
         psnr, bits = self.psnr, self.bits
-        if i < len(qps) and qps[i] == qp:
-            return psnr[j], bits[j]
-        if i == 0 or i == len(qps):
-            raise TraceDomainError(
-                f"qp {qp} outside tabulated span "
-                f"[{qps[0]}, {qps[-1]}] at frame {frame_index}"
-            )
-        lo, lo_psnr, lo_bits = qps[i - 1], psnr[j - 1], bits[j - 1]
-        t = (qp - lo) / (qps[i] - lo)
-        return lo_psnr + t * (psnr[j] - lo_psnr), lo_bits + t * (bits[j] - lo_bits)
+        lo_psnr, lo_bits = psnr[j - 1], bits[j - 1]
+        value = lo_psnr + w * (psnr[j] - lo_psnr)
+        if not math.isfinite(value):
+            raise InputDomainError(f"psnr must be finite, got {value!r}")
+        return value, lo_bits + w * (bits[j] - lo_bits)
+

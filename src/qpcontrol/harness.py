@@ -53,9 +53,11 @@ def _intra_period(pattern: str) -> int:
         return 1
     if pattern.startswith("intra_every:"):
         tail = pattern.split(":", 1)[1]
-        try:
+        try:  # ASCII digits only: int() alone takes '+4', '1_0', ' 4' and '٣'
+            if not (tail.isascii() and tail.isdigit()):
+                raise ValueError(tail)
             period = int(tail)
-        except ValueError:
+        except ValueError:  # or more digits than int() converts
             raise InputDomainError(
                 f"kind_pattern {pattern!r}: bad intra_every period {tail!r}"
             ) from None
@@ -205,7 +207,7 @@ def run_closed_loop(config: ExperimentConfig) -> list[FrameRecord]:
                     raise InputDomainError(f"{name} must be finite, got {value!r}")
         qp = floor(raw + 0.5) if raw >= 0 else ceil(raw - 0.5)
         qp = qp_min if qp < qp_min else qp_max if qp > qp_max else qp
-        psnr, bits = step(qp, t)
+        psnr, bits = step(t, qp)
         error = lam * (psnr - target) + keep * (psnr - prev_psnr if t else 0.0)
         append(record(FrameRecord, (t, qp, psnr, bits, error, o)))
         prev_psnr = psnr
@@ -228,7 +230,7 @@ def run_fixed_qp(config: ExperimentConfig) -> list[FrameRecord]:
     record = tuple.__new__
     prev_psnr = 0.0
     for t in range(config.n_frames):
-        psnr, bits = step(qp, t)
+        psnr, bits = step(t, qp)
         error = lam * (psnr - target) + keep * (psnr - prev_psnr if t else 0.0)
         append(record(FrameRecord, (t, qp, psnr, bits, error, 0.0)))
         prev_psnr = psnr

@@ -17,14 +17,14 @@ conventional halving-per-six-QP relation.
 
 ``step_plant`` is the scalar reference: it steps a ``PlantModel`` one frame
 and keeps the previous output on the model. ``plant_stepper(model,
-n_frames)`` resolves a model once into a per-run closure with the same
-arithmetic in the same order, fed frames ``t`` in ``range(n_frames)``. It
-reads the run's whole disturbance column, which equals ``disturbance_at``
-frame by frame, bit for bit, from a memo that every run in the process
-shares: immutable tuples keyed by the exact spec (its ``repr``) and the
-frame count, whose memory bound ``qpcontrol.disturbance`` states.
-The stepper keeps the previous output itself and never touches the model,
-so one model may back any number of concurrent runs.
+n_frames)`` resolves a model once into a per-run ``step(t, qp)``, fed frames
+``t`` in ``range(n_frames)``: a trace table's own ``lookup``, or a closure
+with the same arithmetic in the same order that reads the run's whole
+disturbance column, which equals ``disturbance_at`` frame by frame, bit for
+bit, from a memo that every run in the process shares: immutable tuples
+keyed by the exact spec (its ``repr``) and the frame count, whose memory
+bound ``qpcontrol.disturbance`` states. No stepper touches the model, so
+one model may back any number of concurrent runs.
 """
 
 from __future__ import annotations
@@ -169,28 +169,20 @@ def step_plant(model: PlantModel, qp: int, frame_index: int) -> FrameOutcome:
 def plant_stepper(
     model: PlantModel, n_frames: int
 ) -> Callable[[int, int], tuple[float, float]]:
-    """Resolve ``model`` once into ``step(qp, t) -> (psnr, bits)`` for one run.
+    """Resolve ``model`` once into ``step(t, qp) -> (psnr, bits)`` for one run.
 
     Fed integer QPs at frames t = 0, 1, ..., n_frames - 1, and no other
     frame, the stepper returns bit for bit what ``step_plant`` returns on a
-    freshly reset model. A synthetic plant's disturbance column is taken
-    once from the process-wide memo, an immutable tuple shared with every
-    run over the same spec and frame count, and each step reads its frame's
-    entry. The stepper keeps the previous PSNR itself, starting at
-    ``initial_psnr``, and never mutates or copies the model. A non-finite
-    PSNR raises InputDomainError on the frame that makes it.
+    freshly reset model. A trace-driven plant's stepper is its table's
+    ``lookup``, which takes the frame first. A synthetic plant's disturbance
+    column is taken once from the process-wide memo, and the closure keeps
+    the previous PSNR itself, starting at ``initial_psnr``. No stepper
+    mutates or copies the model. A non-finite PSNR raises InputDomainError
+    on the frame that makes it.
     """
     isfinite = math.isfinite
     if model.kind is PlantKind.TRACE_DRIVEN:
-        lookup = model.trace.lookup
-
-        def step(qp: int, t: int) -> tuple[float, float]:
-            psnr, bits = lookup(t, qp)
-            if not isfinite(psnr):
-                raise InputDomainError(f"psnr must be finite, got {psnr!r}")
-            return psnr, bits
-
-        return step
+        return model.trace.lookup
 
     ws = _shared_column(model.disturbance, n_frames)
     # Bits per QP, each entry made and checked on the QP's first use; a QP
@@ -201,7 +193,7 @@ def plant_stepper(
     alpha, beta = model.inertia, 1.0 - model.inertia
     prev = model.initial_psnr if first_order else None
 
-    def step(qp: int, t: int) -> tuple[float, float]:
+    def step(t: int, qp: int) -> tuple[float, float]:
         nonlocal prev
         core = intercept - slope * qp
         if prev is None:

@@ -62,7 +62,7 @@ def run_impulse(plant: PlantModel, qp_range: QpRange, n: int) -> ImpulseExperime
         )
     step = plant_stepper(replace(plant, disturbance=DisturbanceSpec()), n)
     qps = (qp_range.qp_min,) + (qp_range.qp_max,) * (n - 1)
-    psnr = [step(qp, t)[0] for t, qp in enumerate(qps)]
+    psnr = [step(t, qp)[0] for t, qp in enumerate(qps)]
     try:
         settled = mean_about_first(psnr[-(n // 4):])
     except OverflowError:

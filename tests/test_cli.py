@@ -583,6 +583,21 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {key} must be finite{rule}, got {value}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("tail", ["1_0", "+4", "\u0663", " 4"])
+    def test_a_period_not_in_ascii_digits_exits_two_naming_its_key(
+        self, tmp_path, capsys, tail
+    ):
+        pattern = f"intra_every:{tail}"
+        out = tmp_path / "out"
+        code = run_cli(
+            "simulate", "--out", out, "--set", "n_frames=5", "--set", f"kind_pattern={pattern}"
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: kind_pattern {pattern!r}: bad intra_every period {tail!r}\n"
+        )
+        assert not out.exists()
+
     def test_trace_shorter_than_the_run_exits_two(self, tmp_path, capsys):
         # the trace covers frames 0..1 only, so the config fails at load
         trace = tmp_path / "short.csv"

@@ -65,6 +65,15 @@ class TestKindPattern:
         with pytest.raises(InputDomainError):
             parse_kind_pattern(bad)
 
+    @pytest.mark.parametrize("tail", ["1_0", "+4", "\u0663", " 4", "4 ", "-4", "9" * 5000])
+    def test_an_intra_every_period_is_ascii_digits(self, tail):
+        pattern = f"intra_every:{tail}"
+        with pytest.raises(InputDomainError) as info:
+            parse_kind_pattern(pattern)
+        assert str(info.value) == (
+            f"kind_pattern {pattern!r}: bad intra_every period {tail!r}"
+        )
+
     def test_config_validates_pattern(self):
         with pytest.raises(InputDomainError):
             ExperimentConfig(

@@ -1,12 +1,15 @@
 """Plant model tests: response shapes, rate model, disturbances, traces."""
 
+import collections
 import copy
 import dataclasses
+import gc
 import math
 import pickle
 import random
 import struct
 import tracemalloc
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given
@@ -19,7 +22,10 @@ from qpcontrol.disturbance import (
     disturbance_at,
     disturbance_column,
 )
+from qpcontrol import _tracetable
+from qpcontrol.controller import ControlObjective
 from qpcontrol.errors import InputDomainError, TraceDomainError
+from qpcontrol.harness import ExperimentConfig, run_closed_loop
 from qpcontrol.plant import (
     FrameOutcome,
     PlantKind,
@@ -387,6 +393,7 @@ class TestTraceTable:
 
     def test_rows_hold_each_frames_qp_tuple(self, table):
         assert table.rows == {0: (30, 40), 1: (30, 40), 2: (30, 40)}
+        assert table.rows[0] is table.rows[1] is table.rows[2]  # one shared tuple
 
     def test_table_is_deeply_immutable(self, table):
         for name in [field.name for field in dataclasses.fields(table)] + ["extra"]:
@@ -451,10 +458,15 @@ def linear_lookup(rows, frame_index, qp):
 
 
 def outcome_of(lookup, *args):
+    """A lookup's floats by ``float.hex``, or its error message. A table
+    refuses a PSNR that interpolates past the float range, where the linear
+    scan returns it, so such a PSNR reads as the table's message."""
     try:
         psnr, bits = lookup(*args)
-    except TraceDomainError as exc:
+    except (TraceDomainError, InputDomainError) as exc:
         return str(exc)
+    if not math.isfinite(psnr):
+        return f"psnr must be finite, got {psnr!r}"
     return psnr.hex(), bits.hex()
 
 
@@ -551,8 +563,9 @@ def test_no_other_character_ends_a_trace_line(tmp_path_factory, rows, char, newl
 def test_a_loaded_table_keeps_its_rows_compact(tmp_path):
     """A 1000-frame x 18-QP table held ~125 B per row as row tuples, and a
     parse that split the whole text into lines first peaked at ~4.4 MiB.
-    As QP tuples and two float64 columns read line by line it holds ~23 B
-    per row, and the parse peaks at ~1.0 MiB."""
+    Read line by line into two float64 columns, with one QP tuple per frame,
+    it held ~33 B per row; with one QP tuple that all its frames share, it
+    holds ~27 B per row. The parse peaks at ~1.0 MiB."""
     rng = random.Random(1)
     path = tmp_path / "table.csv"
     with open(path, "w", encoding="utf-8") as table:
@@ -562,6 +575,9 @@ def test_a_loaded_table_keeps_its_rows_compact(tmp_path):
                 psnr, bits = 52.0 - 0.4 * qp + rng.random(), 3e5 * rng.random()
                 table.write(f"{frame},{qp},{psnr:.6f},{bits:.3f}\n")
     TraceTable.load(path)  # import and warm what a first load touches
+    # A full collection empties the free lists, so the tuples the measured
+    # load makes are allocated, and traced, rather than reused.
+    gc.collect()
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
@@ -575,3 +591,161 @@ def test_a_loaded_table_keeps_its_rows_compact(tmp_path):
     assert sum(len(entries) for entries in table.rows.values()) == 18_000
     assert resident / 18_000 < 60
     assert peak < 2.0 * 2**20
+
+
+def counting_bisects(monkeypatch):
+    """The QP of every bisect a table's lookup makes from now on."""
+    calls = []
+
+    def counted(qps, qp):
+        calls.append(qp)
+        return bisect_left(qps, qp)
+
+    monkeypatch.setattr(_tracetable, "bisect_left", counted)
+    return calls
+
+
+@st.composite
+def grid_sharing_tables(draw):
+    """Rows for a few frames: some on QP grids that other frames share, some
+    on their own, with PSNRs that may interpolate past the float range."""
+    grids = st.sets(st.integers(-5, 40), min_size=1, max_size=6).map(sorted)
+    shared = draw(st.lists(grids, min_size=1, max_size=3))
+    frames = draw(st.lists(st.integers(0, 50), min_size=1, max_size=8, unique=True))
+    rows = {}
+    for frame in sorted(frames):
+        qps = draw(st.sampled_from(shared) | grids)
+        rows[frame] = [
+            (qp, draw(finite_floats), draw(finite_floats.map(abs))) for qp in qps
+        ]
+    return rows
+
+
+@given(rows=grid_sharing_tables(), data=st.data())
+def test_memoized_lookups_match_a_linear_scan(rows, data):
+    """Any sequence of lookups, repeats and float QPs included, answers as
+    the linear scan does. A frame's QP bisects only when no earlier int
+    lookup placed it on its grid, and only an in-span int QP on a grid that
+    two or more frames share is placed, so each grid memoizes at most its
+    span's width of QPs."""
+    table, fresh = table_from_rows(rows), table_from_rows(rows)
+    frames = st.sampled_from([*rows, max(rows) + 1])
+    qps = st.integers(-8, 44)
+    queries = data.draw(
+        st.lists(st.tuples(frames, qps | qps.map(float)), min_size=1, max_size=40)
+    )
+    queries += data.draw(st.permutations(queries))
+    grids = {frame: tuple(qp for qp, _, _ in entries) for frame, entries in rows.items()}
+    uses = collections.Counter(grids.values())
+    placed, bisected = set(), []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = counting_bisects(monkeypatch)
+        for frame, qp in queries:
+            expected = outcome_of(linear_lookup, rows, frame, qp)
+            assert outcome_of(table.lookup, frame, qp) == expected
+            grid = grids.get(frame)
+            if grid is None or (grid, qp) in placed:
+                continue
+            bisected.append(qp)
+            if uses[grid] > 1 and grid[0] <= qp <= grid[-1] and type(qp) is int:
+                placed.add((grid, qp))
+        assert calls == bisected
+    for start, grid, memo in table._frames.values():
+        if uses[grid] == 1:
+            assert memo is None
+        else:
+            assert sorted(memo) == sorted(qp for g, qp in placed if g == grid)
+            assert len(memo) <= grid[-1] - grid[0] + 1
+    assert table == fresh and repr(table) == repr(fresh)
+    assert pickle.dumps(table) == pickle.dumps(fresh)
+    for copied in [copy.deepcopy(table), pickle.loads(pickle.dumps(table))]:
+        for frame, qp in queries:
+            assert outcome_of(copied.lookup, frame, qp) == outcome_of(table.lookup, frame, qp)
+
+
+def test_a_refused_or_non_int_qp_is_not_placed(monkeypatch):
+    rows = {t: [(30, 38.0 - t, 5e5), (40, 34.0 - t, 2e5)] for t in range(3)}
+    table = table_from_rows(rows)
+    calls = counting_bisects(monkeypatch)
+    for qp in (29, 41, 29):
+        with pytest.raises(TraceDomainError, match=f"qp {qp} outside tabulated span"):
+            table.lookup(1, qp)
+    for frame, qp in [(0, 35.5), (1, 35.5), (0, 35), (1, 35), (2, 35.0), (2, 35.5)]:
+        assert outcome_of(table.lookup, frame, qp) == outcome_of(
+            linear_lookup, rows, frame, qp
+        )
+    assert calls == [29, 41, 29, 35.5, 35.5, 35, 35.5]
+    assert [len(memo) for _, _, memo in table._frames.values()] == [1, 1, 1]
+
+
+def test_a_float_qp_past_the_exact_range_weighs_as_a_float():
+    """Past 2**52 the weight of a float QP can differ from the equal int
+    QP's in the last bit, so such a grid keeps no memo: each QP type gets
+    the weight its own arithmetic gives."""
+    qp, entries = 3 * 2**57, [(1, 0.0, 0.0), (2**60 + 256, 1.0, 1.0)]
+    assert (qp - 1) / (2**60 + 255) != (float(qp) - 1) / (2**60 + 255)
+    rows = {0: entries, 1: entries}
+    table = table_from_rows(rows)
+    for frame, probe in [(0, qp), (1, qp), (0, float(qp)), (1, float(qp))]:
+        assert outcome_of(table.lookup, frame, probe) == outcome_of(
+            linear_lookup, rows, frame, probe
+        )
+    assert table.lookup(0, qp) != table.lookup(0, float(qp))
+
+
+@pytest.mark.parametrize(
+    "psnrs, expected",
+    [((40.0, 30.0), (40.0, 5e5)), ((1.7e308, -1.7e308), "psnr must be finite, got nan")],
+    ids=["equals_the_lower_row", "times_an_overflowed_difference"],
+)
+def test_an_underflowing_weight_still_interpolates(psnrs, expected):
+    """QP 1 between QPs 0 and 10**400 weighs 1 / 10**400, which is 0.0: the
+    lookup still interpolates with it rather than read a row verbatim."""
+    rows = {t: [(0, psnrs[0], 5e5), (10**400, psnrs[1], 1e5)] for t in range(2)}
+    table = table_from_rows(rows)
+    for frame in (0, 1, 0):
+        assert outcome_of(table.lookup, frame, 1) == outcome_of(linear_lookup, rows, frame, 1)
+    assert outcome_of(table.lookup, 0, 1) == (
+        expected if isinstance(expected, str) else tuple(x.hex() for x in expected)
+    )
+
+
+def test_a_closed_run_on_a_shared_grid_bisects_once_per_distinct_qp(monkeypatch):
+    rows = {
+        t: [(qp, 52.0 - 0.4 * qp + 0.01 * (t % 7), 3e5 / (1 + qp)) for qp in range(0, 52, 3)]
+        for t in range(300)
+    }
+    config = ExperimentConfig(
+        plant=PlantModel(kind=PlantKind.TRACE_DRIVEN, trace=table_from_rows(rows)),
+        objective=ControlObjective(target_psnr=37.2),
+        n_frames=300,
+    )
+    calls = counting_bisects(monkeypatch)
+    qps = [record.qp for record in run_closed_loop(config)]
+    assert len(set(qps)) > 1  # the QP moves
+    assert sorted(calls) == sorted(set(qps))
+
+
+OVERFLOWING_TRACE = {0: [(0, 1.7e308, 0.0), (51, -1.7e308, 0.0)]}
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda table: table.lookup(0, 25),
+        lambda table: step_plant(PlantModel(kind=PlantKind.TRACE_DRIVEN, trace=table), 25, 0),
+        lambda table: run_closed_loop(
+            ExperimentConfig(
+                plant=PlantModel(kind=PlantKind.TRACE_DRIVEN, trace=table),
+                objective=ControlObjective(target_psnr=37.2),
+                n_frames=1,
+                qp_offset=25.0,
+            )
+        ),
+    ],
+    ids=["lookup", "step_plant", "closed_loop"],
+)
+def test_a_psnr_interpolated_past_the_float_range_raises(run):
+    with pytest.raises(InputDomainError) as info:
+        run(table_from_rows(OVERFLOWING_TRACE))
+    assert str(info.value) == "psnr must be finite, got -inf"

@@ -111,7 +111,7 @@ def test_stepper_matches_step_plant_bit_for_bit(plant, override, qps):
     )
     step = plant_stepper(reference, len(qps))
     want = [step_plant(reference, qp, t) for t, qp in enumerate(qps)]
-    got = [step(qp, t) for t, qp in enumerate(qps)]
+    got = [step(t, qp) for t, qp in enumerate(qps)]
     assert bit_pattern(got) == bit_pattern((o.psnr, o.bits) for o in want)
 
 
@@ -338,7 +338,7 @@ OVERFLOWING = PlantModel.zero_order(
 @pytest.mark.parametrize(
     "run",
     [
-        lambda: plant_stepper(OVERFLOWING, 1)(32, 0),
+        lambda: plant_stepper(OVERFLOWING, 1)(0, 32),
         lambda: run_closed_loop(
             ExperimentConfig(plant=OVERFLOWING, objective=ControlObjective(37.2))
         ),
@@ -361,10 +361,10 @@ def test_non_finite_bits_raise_when_the_rate_entry_is_made():
     step = plant_stepper(
         PlantModel.zero_order(rate_ref_bits=1e308, rate_ref_qp=40), 3
     )
-    assert step(40, 0)[1] == 1e308
+    assert step(0, 40)[1] == 1e308
     for t in (1, 2):  # a refused QP is never cached, so it raises again
         with pytest.raises(InputDomainError, match="bits must be finite"):
-            step(0, t)
+            step(t, 0)
 
 
 def count_rate_model_calls(monkeypatch):
@@ -397,13 +397,13 @@ def test_the_rate_memo_makes_each_qps_bits_once_per_run(monkeypatch):
 def test_a_refused_qp_raises_on_its_first_frame_and_is_not_stored(monkeypatch):
     step = plant_stepper(PlantModel.zero_order(rate_ref_bits=1e308, rate_ref_qp=40), 5)
     calls = count_rate_model_calls(monkeypatch)
-    assert step(40, 0)[1] == 1e308
-    assert step(41, 1)[1] < 1e308
+    assert step(0, 40)[1] == 1e308
+    assert step(1, 41)[1] < 1e308
     for t in (2, 3):  # QP 0's bits overflow: each use makes and refuses them
         with pytest.raises(InputDomainError, match="bits must be finite") as refused:
-            step(0, t)
+            step(t, 0)
         assert refused.value.__context__ is None
-    assert step(40, 4)[1] == 1e308
+    assert step(4, 40)[1] == 1e308
     assert calls == [40, 41, 0, 0]
 
 
