@@ -444,6 +444,35 @@ def test_one_config_runs_on_many_threads_at_once():
     assert all(result == want for result in results)
 
 
+def test_one_trace_table_backs_many_threads_at_once():
+    """Runs on one table race to fill the memo of its shared QP tuple; each
+    must still read the trace a run on a table of its own reads."""
+
+    def config():
+        rows = {
+            t: [(qp, 50.0 - 0.4 * qp + 0.1 * (t % 5), 3e5 / (1 + qp)) for qp in range(0, 52, 3)]
+            for t in range(400)
+        }
+        return ExperimentConfig(
+            plant=PlantModel(kind=PlantKind.TRACE_DRIVEN, trace=table_from_rows(rows)),
+            objective=ControlObjective(target_psnr=37.2),
+            n_frames=400,
+        )
+
+    want = run_closed_loop(config())
+    assert len({record.qp for record in want}) > 1  # the QP moves
+    shared = config()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(run_closed_loop, shared) for _ in range(16)]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(record_bits(result) == record_bits(want) for result in results)
+
+
 @settings(max_examples=EXAMPLES)
 @given(
     kind=st.sampled_from(DisturbanceKind),
