@@ -4,12 +4,12 @@ A ``DisturbanceSpec`` picks one of five kinds: none, constant, step,
 sinusoid or seeded noise. ``disturbance_at(spec, t)`` holds each kind's only
 formula; seeded noise hashes (seed, frame) with the splitmix64 finalizer
 (Steele, Lea and Flood, "Fast Splittable Pseudorandom Number Generators",
-OOPSLA 2014). ``disturbance_column(spec, n)`` maps it over frames
-``0 .. n - 1``.
+OOPSLA 2014).
 
-Run steppers read their column from ``_shared_column``: a process-wide memo
-of immutable tuples keyed by ``repr(spec)`` and the frame count. It keeps at
-most 16 columns. A column takes an 8-byte tuple slot per frame; sinusoid and
+Run steppers read their column, ``disturbance_at`` mapped over frames
+``0 .. n - 1``, from ``_shared_column``: a process-wide memo of immutable
+tuples keyed by ``repr(spec)`` and the frame count. It keeps at most 16
+columns. A column takes an 8-byte tuple slot per frame; sinusoid and
 seeded-noise frames each add a 24-byte float, while none, constant and step
 columns reuse one float object per value. So the memo holds at most 32 B per
 frame of its 16 columns together: 1 MB when each has 2,000 frames.
@@ -106,19 +106,14 @@ def disturbance_at(spec: DisturbanceSpec, frame_index: int) -> float:
     return 0.0  # DisturbanceKind.NONE
 
 
-def disturbance_column(spec: DisturbanceSpec, n_frames: int) -> list[float]:
-    """``[disturbance_at(spec, t) for t in range(n_frames)]``."""
+@functools.lru_cache(maxsize=16)
+def _memo_column(spec_repr: str, n_frames: int, spec: DisturbanceSpec) -> tuple[float, ...]:
     if n_frames < 0:
         raise InputDomainError("n_frames must be nonnegative")
     # A discarded guard: a count no list can hold raises MemoryError here,
     # before any frame is computed, whatever the kind.
     [0.0] * n_frames
-    return list(map(functools.partial(disturbance_at, spec), range(n_frames)))
-
-
-@functools.lru_cache(maxsize=16)
-def _memo_column(spec_repr: str, n_frames: int, spec: DisturbanceSpec) -> tuple[float, ...]:
-    return tuple(disturbance_column(spec, n_frames))
+    return tuple(map(functools.partial(disturbance_at, spec), range(n_frames)))
 
 
 def _shared_column(spec: DisturbanceSpec, n_frames: int) -> tuple[float, ...]:

@@ -1,10 +1,10 @@
 """Hypothesis profiles for the suite.
 
 The default profile runs the usual example counts. ``thorough`` runs ten
-times as many, for the property tests the run kernels and the trace
-table's lookup are checked by::
+times as many, for the property tests the run kernels, the trace table's
+lookup and the two plant paths are checked by::
 
-    python -m pytest -q tests/test_stepper.py tests/test_plant.py --hypothesis-profile=thorough
+    python -m pytest -q tests/test_stepper.py tests/test_plant.py tests/test_cross_plant.py --hypothesis-profile=thorough
 
 Tests that set their own ``max_examples`` scale it from
 ``settings.default.max_examples``, so the profile reaches them too. Its

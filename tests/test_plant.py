@@ -18,11 +18,11 @@ from hypothesis import strategies as st
 from qpcontrol.disturbance import (
     DisturbanceKind,
     DisturbanceSpec,
+    _memo_column,
     _mix64,
+    _shared_column,
     disturbance_at,
-    disturbance_column,
 )
-from qpcontrol import _tracetable
 from qpcontrol.controller import ControlObjective
 from qpcontrol.errors import InputDomainError, TraceDomainError
 from qpcontrol.harness import ExperimentConfig, run_closed_loop
@@ -207,7 +207,10 @@ class TestDisturbance:
         assert spec != dataclasses.replace(spec, seed=6)
         loaded = pickle.loads(pickle.dumps(spec))
         assert loaded == spec and hash(loaded) == hash(spec)
-        assert disturbance_column(loaded, 50) == disturbance_column(spec, 50)
+        # Computed per frame: equal specs share one memoized column.
+        assert [disturbance_at(loaded, t) for t in range(50)] == [
+            disturbance_at(spec, t) for t in range(50)
+        ]
 
     def test_noise_mix_gives_splitmix64s_published_outputs(self):
         """splitmix64 seeded with 0 (S. Vigna, ``splitmix64.c``) adds the
@@ -269,11 +272,12 @@ class TestDisturbanceColumn:
     def test_column_matches_disturbance_at_bit_for_bit(self, case):
         spec, n = case
         want = [disturbance_at(spec, t).hex() for t in range(n)]
-        assert [w.hex() for w in disturbance_column(spec, n)] == want
+        _memo_column.cache_clear()  # built here, not kept from an earlier example
+        assert [w.hex() for w in _shared_column(spec, n)] == want
 
     def test_negative_length_rejected(self):
         with pytest.raises(InputDomainError, match="n_frames must be nonnegative"):
-            disturbance_column(DisturbanceSpec(), -1)
+            _shared_column(DisturbanceSpec(), -1)
 
 
 class TestValidation:
@@ -601,7 +605,7 @@ def counting_bisects(monkeypatch):
         calls.append(qp)
         return bisect_left(qps, qp)
 
-    monkeypatch.setattr(_tracetable, "bisect_left", counted)
+    monkeypatch.setattr("qpcontrol.plant.bisect_left", counted)
     return calls
 
 
