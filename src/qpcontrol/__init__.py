@@ -13,7 +13,6 @@ from .controller import (
     policy_qp,
 )
 from .config import emit_config, parse_config
-from .disturbance import DisturbanceKind, DisturbanceSpec, disturbance_at
 from .harness import (
     ExperimentConfig,
     FrameRecord,
@@ -25,10 +24,13 @@ from .harness import (
     run_fixed_qp,
 )
 from .plant import (
+    DisturbanceKind,
+    DisturbanceSpec,
     FrameOutcome,
     PlantKind,
     PlantModel,
     TraceTable,
+    disturbance_at,
     rate_model,
     step_plant,
 )

@@ -19,13 +19,13 @@ from .errors import ConfigError, InputDomainError, TraceDomainError
 from .harness import (
     MetricsReport,
     RunMode,
-    _write_text,
     comparison_text,
     compute_metrics,
     run_closed_loop,
     run_fixed_qp,
     summary_line,
     write_metrics_json,
+    write_text,
     write_trace_csv,
 )
 from .sysid import MIN_RESPONSE_LENGTH, estimate_order, run_impulse
@@ -108,8 +108,8 @@ def _cmd_identify(args: argparse.Namespace) -> int:
         f"{t},{value:.6f}" for t, value in enumerate(experiment.response)
     ]
     out = _out_dir(args)
-    _write_text(report, out / "identify_report.txt")
-    _write_text("\n".join(response_lines) + "\n", out / "impulse_response.csv")
+    write_text(report, out / "identify_report.txt")
+    write_text("\n".join(response_lines) + "\n", out / "impulse_response.csv")
     print(report, end="")
     return 0
 
@@ -120,7 +120,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     baseline = compute_metrics(run_fixed_qp(config), config.objective)
     text = comparison_text(controlled, baseline)
     out = _out_dir(args)
-    _write_text(text, out / "comparison.txt")
+    write_text(text, out / "comparison.txt")
     write_metrics_json(controlled, out / "metrics_controlled.json")
     write_metrics_json(baseline, out / "metrics_fixed.json")
     print(text, end="")
@@ -186,7 +186,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         cells = list(combo) + [f"{value:.6f}" for value in runs[run_key]]
         rows.append(",".join(cells))
     out = _out_dir(args)
-    _write_text("\n".join(rows) + "\n", out / "sweep.csv")
+    write_text("\n".join(rows) + "\n", out / "sweep.csv")
     print(f"sweep: {len(points)} grid points over {', '.join(keys)}")
     return 0
 

@@ -19,10 +19,9 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .controller import ControlObjective, PidGains, QpRange
-from .disturbance import DisturbanceKind, DisturbanceSpec
 from .errors import ConfigError, InputDomainError
 from .harness import ExperimentConfig, RunMode
-from .plant import PlantKind, PlantModel, TraceTable
+from .plant import DisturbanceKind, DisturbanceSpec, PlantKind, PlantModel, TraceTable
 
 
 def _parse_float(key: str, raw: str) -> float:

@@ -9,7 +9,7 @@ run is deterministic in its configuration, and runs share no mutable
 state, so one configuration may run on many threads at once and each
 thread gets the same trace. They share only immutable disturbance columns,
 from a process-wide memo keyed by the exact spec and frame count (its
-memory bound is stated in ``qpcontrol.disturbance``).
+memory bound is stated in ``qpcontrol.plant``).
 """
 
 from __future__ import annotations
@@ -316,13 +316,13 @@ def trace_csv_text(records: Sequence[FrameRecord]) -> str:
     return "".join([TRACE_CSV_HEADER + "\n", *(_TRACE_CSV_ROW % r for r in records)])
 
 
-def _write_text(text: str, path: str | Path) -> None:
+def write_text(text: str, path: str | Path) -> None:
     # UTF-8 whatever the locale; argument bytes that did not decode go back out.
     Path(path).write_text(text, encoding="utf-8", errors="surrogateescape")
 
 
 def write_trace_csv(records: Sequence[FrameRecord], path: str | Path) -> None:
-    _write_text(trace_csv_text(records), path)
+    write_text(trace_csv_text(records), path)
 
 
 def metrics_json_text(report: MetricsReport) -> str:
@@ -331,7 +331,7 @@ def metrics_json_text(report: MetricsReport) -> str:
 
 
 def write_metrics_json(report: MetricsReport, path: str | Path) -> None:
-    _write_text(metrics_json_text(report), path)
+    write_text(metrics_json_text(report), path)
 
 
 def summary_line(mode: RunMode, n_frames: int, report: MetricsReport) -> str:

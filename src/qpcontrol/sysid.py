@@ -19,10 +19,9 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .controller import QpRange
-from .disturbance import DisturbanceSpec
 from .errors import InputDomainError
 from .harness import mean, mean_about_first, pstd
-from .plant import PlantModel, plant_stepper
+from .plant import DisturbanceSpec, PlantModel, plant_stepper
 
 #: Smallest |pole| treated as real memory rather than numerical residue.
 POLE_THRESHOLD = 0.05

@@ -8,6 +8,8 @@ either, so these tests pin both: a change to those names or to what they
 compute fails here rather than only in a traced benchmark run.
 """
 
+import ast
+import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -20,6 +22,7 @@ import layers  # noqa: E402
 import workloads  # noqa: E402
 
 WORKLOADS = ["cold_cli", "synthetic_sweep", "trace_sweep"]
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
@@ -52,3 +55,21 @@ def test_the_trace_row_count_reads_the_tables_data_rows(tmp_path):
 def test_the_traced_trace_load_wraps_a_classmethod():
     # bench/layers.traced_cli re-wraps TraceTable.__dict__["load"].__func__.
     assert isinstance(layers.TraceTable.__dict__["load"], classmethod)
+
+
+def test_every_module_that_raises_has_a_declared_error_metric():
+    # bench/layers.module_of charges a failed operation to the innermost
+    # qpcontrol module in its traceback, and bench/measure.py reports the
+    # count only under a declared <module>.errors metric.
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    declared = {metric["name"] for metric in benchmark["per_layer"]}
+    undeclared = [
+        path.stem
+        for path in sorted((ROOT / "src" / "qpcontrol").glob("*.py"))
+        if f"{path.stem}.errors" not in declared
+        and any(
+            isinstance(node, ast.Raise)
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        )
+    ]
+    assert undeclared == []

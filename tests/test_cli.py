@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from qpcontrol import cli
 from qpcontrol.cli import build_parser, main
 from qpcontrol.config import SCHEMA, parse_config
-from qpcontrol.disturbance import _memo_column
+from qpcontrol.plant import _memo_column
 from qpcontrol.harness import (
     MetricsReport,
     RunMode,

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from qpcontrol.cli import main
 from qpcontrol.config import parse_config
 from qpcontrol.controller import ControlObjective, PidGains, QpRange, clamp_round_qp
-from qpcontrol.disturbance import DisturbanceKind, DisturbanceSpec, disturbance_at
+from qpcontrol.plant import DisturbanceKind, DisturbanceSpec, disturbance_at
 from qpcontrol.errors import TraceDomainError
 from qpcontrol.harness import ExperimentConfig, run_closed_loop, run_fixed_qp
 from qpcontrol.plant import PlantKind, PlantModel, TraceTable, rate_model

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qpcontrol.disturbance import (
+from qpcontrol.plant import (
     DisturbanceKind,
     DisturbanceSpec,
     _memo_column,

@@ -9,6 +9,7 @@ import pytest
 from qpcontrol.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+WORKFLOW = README.parent / ".github" / "workflows" / "tests.yml"
 
 
 def fenced_block(heading: str, language: str) -> str:
@@ -47,3 +48,16 @@ def test_command_line_example_writes_the_files_it_names(tmp_path, words, files):
 def test_library_use_example_runs(capsys):
     exec(compile(fenced_block("Library use", "python"), str(README), "exec"), {})
     assert capsys.readouterr().out.startswith("MetricsReport(avg_psnr=")
+
+
+def test_the_thorough_profile_command_is_the_workflows():
+    profile = "--hypothesis-profile=thorough"
+    (documented,) = re.findall(
+        rf"`([^`]*{profile})`", README.read_text(encoding="utf-8")
+    )
+    (run,) = [
+        line.split("run:", 1)[1].strip()
+        for line in WORKFLOW.read_text(encoding="utf-8").splitlines()
+        if profile in line
+    ]
+    assert documented == run

@@ -21,7 +21,7 @@ from qpcontrol.controller import (
     compute_error,
     controller_frame,
 )
-from qpcontrol.disturbance import _memo_column, _shared_column, disturbance_at
+from qpcontrol.plant import _memo_column, _shared_column, disturbance_at
 from qpcontrol.errors import InputDomainError
 from qpcontrol.harness import (
     ExperimentConfig,
