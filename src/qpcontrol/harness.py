@@ -1,19 +1,19 @@
 """Closed-loop and fixed-QP simulation runs plus their summary metrics.
 
 A run is one loop over frames that pairs one controller stream with one
-plant stepper: each frame the PID, whose accumulators are loop locals,
-turns the previous frame's error signal into a QP, the plant encodes, and
-the outcome is appended to the trace. The fixed-QP variant holds the
-rounded anchor QP and serves as the uncontrolled baseline. Every
-run is deterministic in its configuration, and runs share no mutable
-state, so one configuration may run on many threads at once and each
-thread gets the same trace. They share only immutable disturbance columns,
-from a process-wide memo keyed by the exact spec and frame count (its
-memory bound is stated in ``qpcontrol.plant``).
+plant stepper: each frame the PID turns the previous frame's error into a
+QP, the plant encodes, and the outcome is appended to the trace. Runs are
+deterministic in their configuration, so one configuration may run on many
+threads at once, each getting the same trace. Runs share immutable
+disturbance columns (``qpcontrol.plant`` states the memo and its memory
+bound) and the interpreter's collector switch, which each loop holds off: a
+``gc.enable()`` or ``gc.disable()`` from another thread during a run may be
+undone when it ends.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import sys
@@ -132,6 +132,19 @@ class ExperimentConfig:
             )
 
 
+class _collector_held:
+    """Hold the collector off, as CPython never untracks a ``FrameRecord``.
+    A class: leaving a generator allocates, which could start a collection."""
+
+    def __enter__(self) -> None:
+        self.was_enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self.was_enabled:
+            gc.enable()
+
+
 class FrameRecord(NamedTuple):
     """One row of a run trace."""
 
@@ -168,15 +181,15 @@ def run_closed_loop(config: ExperimentConfig) -> list[FrameRecord]:
     """Run the controller against the configured plant for ``n_frames``.
 
     Frame t's QP comes from the controller fed with frame t-1's error. The
-    PID accumulators are locals of the loop, updated with
-    ``controller_frame``'s arithmetic in the same order, so the QPs and
-    control variables match it bit for bit, and a non-finite error, ``o``
-    or raw QP raises the same InputDomainError on the same frame. The
-    schedule is read once as its intra period, and the plant is resolved
-    once into a per-run stepper that never copies or mutates the model.
-    Each frame's error is computed once, from the fresh measurement with
-    the ``compute_error`` formula, recorded and fed to the next frame.
-    ``config.mode`` is not read: the caller chooses the run.
+    PID accumulators are loop locals, updated with ``controller_frame``'s
+    arithmetic in the same order, so the QPs and control variables match it
+    bit for bit, and a non-finite error, ``o`` or raw QP raises the same
+    InputDomainError on the same frame. The schedule is read once as its
+    intra period, and the plant resolved once into a per-run stepper that
+    never copies or mutates the model. Each frame's error is computed once,
+    with the ``compute_error`` formula, recorded and fed to the next frame.
+    The loop makes no reference cycles and holds the collector off until it
+    ends. ``config.mode`` is not read: the caller chooses the run.
     """
     step = plant_stepper(config.plant, config.n_frames)
     period = _intra_period(config.kind_pattern)
@@ -192,33 +205,34 @@ def run_closed_loop(config: ExperimentConfig) -> list[FrameRecord]:
     record = tuple.__new__
     o = o_integral = o_double_integral = error_integral = 0.0
     error = prev_error = prev_psnr = 0.0
-    for t in range(config.n_frames):
-        if t:  # frame 0 emits the rounded anchor with o = 0.0
-            error_integral += error
-            derivative = error - prev_error if t > 1 else 0.0
-            o = kp * error + ki * error_integral - kd * derivative
-            prev_error = error
-        o_integral += o
-        o_double_integral += o_integral
-        raw = anchor + (o_double_integral if period and t % period == 0 else o_integral)
-        if not isfinite(raw):  # a non-finite error or o leaves raw non-finite
-            for name, value in (("error", error), ("o", o), ("raw_qp", raw)):
-                if not isfinite(value):
-                    raise InputDomainError(f"{name} must be finite, got {value!r}")
-        qp = floor(raw + 0.5) if raw >= 0 else ceil(raw - 0.5)
-        qp = qp_min if qp < qp_min else qp_max if qp > qp_max else qp
-        psnr, bits = step(t, qp)
-        error = lam * (psnr - target) + keep * (psnr - prev_psnr if t else 0.0)
-        append(record(FrameRecord, (t, qp, psnr, bits, error, o)))
-        prev_psnr = psnr
+    with _collector_held():
+        for t in range(config.n_frames):
+            if t:  # frame 0 emits the rounded anchor with o = 0.0
+                error_integral += error
+                derivative = error - prev_error if t > 1 else 0.0
+                o = kp * error + ki * error_integral - kd * derivative
+                prev_error = error
+            o_integral += o
+            o_double_integral += o_integral
+            raw = anchor + (o_double_integral if period and t % period == 0 else o_integral)
+            if not isfinite(raw):  # a non-finite error or o leaves raw non-finite
+                for name, value in (("error", error), ("o", o), ("raw_qp", raw)):
+                    if not isfinite(value):
+                        raise InputDomainError(f"{name} must be finite, got {value!r}")
+            qp = floor(raw + 0.5) if raw >= 0 else ceil(raw - 0.5)
+            qp = qp_min if qp < qp_min else qp_max if qp > qp_max else qp
+            psnr, bits = step(t, qp)
+            error = lam * (psnr - target) + keep * (psnr - prev_psnr if t else 0.0)
+            append(record(FrameRecord, (t, qp, psnr, bits, error, o)))
+            prev_psnr = psnr
     return records
 
 
 def run_fixed_qp(config: ExperimentConfig) -> list[FrameRecord]:
     """Baseline run: hold the rounded anchor QP, step the plant identically.
 
-    No controller runs, so every frame records ``o = 0.0``; the error column
-    is computed as in ``run_closed_loop``. ``config.mode`` is not read.
+    No controller runs, so every frame records ``o = 0.0``. The error column,
+    collector hold and unread ``config.mode`` are as in ``run_closed_loop``.
     """
     step = plant_stepper(config.plant, config.n_frames)
     qp = clamp_round_qp(config.qp_offset, config.qp_range)
@@ -229,11 +243,12 @@ def run_fixed_qp(config: ExperimentConfig) -> list[FrameRecord]:
     append = records.append
     record = tuple.__new__
     prev_psnr = 0.0
-    for t in range(config.n_frames):
-        psnr, bits = step(t, qp)
-        error = lam * (psnr - target) + keep * (psnr - prev_psnr if t else 0.0)
-        append(record(FrameRecord, (t, qp, psnr, bits, error, 0.0)))
-        prev_psnr = psnr
+    with _collector_held():
+        for t in range(config.n_frames):
+            psnr, bits = step(t, qp)
+            error = lam * (psnr - target) + keep * (psnr - prev_psnr if t else 0.0)
+            append(record(FrameRecord, (t, qp, psnr, bits, error, 0.0)))
+            prev_psnr = psnr
     return records
 
 

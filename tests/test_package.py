@@ -67,3 +67,32 @@ def test_no_module_imports_a_private_name_from_a_sibling():
                     if alias.name.startswith("_")
                 ]
     assert found == []
+
+
+def test_only_the_run_loops_hold_the_collector_and_only_through_one_helper():
+    # The collector switch is process-wide, so it is flipped on one code
+    # path: harness._collector_held, entered by the two run loops.
+    flips, held_by = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            helper = isinstance(top, ast.ClassDef) and top.name == "_collector_held"
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom) and node.module == "gc":
+                    flips.append(f"{path.name}: from gc import ...")
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr in ("disable", "enable")
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "gc"
+                ):
+                    where = "" if helper else " outside the helper"
+                    flips.append(f"{path.name}{where}: gc.{node.attr}")
+                if (
+                    isinstance(node, ast.withitem)
+                    and isinstance(node.context_expr, ast.Call)
+                    and getattr(node.context_expr.func, "id", None) == "_collector_held"
+                ):
+                    held_by.add(f"{path.name}: {top.name}")
+    assert flips == ["harness.py: gc.disable", "harness.py: gc.enable"]
+    assert held_by == {"harness.py: run_closed_loop", "harness.py: run_fixed_qp"}

@@ -3,6 +3,7 @@ the step-by-step primitives, compared bit for bit with ``float.hex`` so that
 a -0.0 against a 0.0 counts as a difference."""
 
 import dataclasses
+import gc
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -433,6 +434,7 @@ def test_one_config_runs_on_many_threads_at_once():
     )
     want = run_closed_loop(config)
     _memo_column.cache_clear()  # the threads race to fill the shared column
+    collector_was = gc.isenabled()  # each run holds it off and restores it
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -442,6 +444,7 @@ def test_one_config_runs_on_many_threads_at_once():
     finally:
         sys.setswitchinterval(interval)
     assert all(result == want for result in results)
+    assert gc.isenabled() is collector_was
 
 
 def test_one_trace_table_backs_many_threads_at_once():
@@ -462,6 +465,7 @@ def test_one_trace_table_backs_many_threads_at_once():
     want = run_closed_loop(config())
     assert len({record.qp for record in want}) > 1  # the QP moves
     shared = config()
+    collector_was = gc.isenabled()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -471,6 +475,7 @@ def test_one_trace_table_backs_many_threads_at_once():
     finally:
         sys.setswitchinterval(interval)
     assert all(record_bits(result) == record_bits(want) for result in results)
+    assert gc.isenabled() is collector_was
 
 
 @settings(max_examples=EXAMPLES)
