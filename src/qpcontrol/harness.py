@@ -1,14 +1,20 @@
 """Closed-loop and fixed-QP simulation runs plus their summary metrics.
 
 A run is one loop over frames that pairs one controller stream with one
-plant stepper: each frame the PID turns the previous frame's error into a
-QP, the plant encodes, and the outcome is appended to the trace. Runs are
-deterministic in their configuration, so one configuration may run on many
-threads at once, each getting the same trace. Runs share immutable
-disturbance columns (``qpcontrol.plant`` states the memo and its memory
-bound) and the interpreter's collector switch, which each loop holds off: a
-``gc.enable()`` or ``gc.disable()`` from another thread during a run may be
-undone when it ends.
+plant stepper: each frame the PID, whose accumulators are loop locals,
+turns the previous frame's error signal into a QP, the plant encodes, and
+the outcome is appended to the trace. The fixed-QP variant holds the
+rounded anchor QP and serves as the uncontrolled baseline. Every
+run is deterministic in its configuration, and runs share no mutable
+state but the collector hold below, so one configuration may run on many
+threads at once and each thread gets the same trace. They share only
+immutable disturbance columns, from a process-wide memo keyed by the exact
+spec and frame count (its memory bound is stated in ``qpcontrol.plant``).
+
+Both loops hold the interpreter's cyclic collector off while they run.
+Overlapping runs share one hold: the last to end turns the collector back
+on if it was on when the first began, so a ``gc.disable()`` made from
+another thread meanwhile is undone then; a ``gc.enable()`` never is.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import gc
 import json
 import math
 import sys
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -134,15 +141,31 @@ class ExperimentConfig:
 
 class _collector_held:
     """Hold the collector off, as CPython never untracks a ``FrameRecord``.
-    A class: leaving a generator allocates, which could start a collection."""
+
+    The switch is process-wide, so the count of holders and the switch move
+    together under one lock (reentrant: a signal handler may start a run).
+    A class: leaving a generator allocates, which could start a collection.
+    """
+
+    lock, holders, restore = threading.RLock(), 0, False
 
     def __enter__(self) -> None:
-        self.was_enabled = gc.isenabled()
-        gc.disable()
+        held = _collector_held
+        with held.lock:
+            held.holders += 1
+            if held.holders == 1:
+                held.restore = gc.isenabled()
+                gc.disable()
 
     def __exit__(self, *exc_info: object) -> None:
-        if self.was_enabled:
-            gc.enable()
+        held = _collector_held
+        held.lock.acquire()  # not ``with``: its exit call allocates an
+        try:  # argument tuple, which after gc.enable() starts a collection
+            restore, held.holders = held.restore, held.holders - 1
+            if restore and not held.holders:
+                gc.enable()
+        finally:
+            held.lock.release()
 
 
 class FrameRecord(NamedTuple):
@@ -181,13 +204,14 @@ def run_closed_loop(config: ExperimentConfig) -> list[FrameRecord]:
     """Run the controller against the configured plant for ``n_frames``.
 
     Frame t's QP comes from the controller fed with frame t-1's error. The
-    PID accumulators are loop locals, updated with ``controller_frame``'s
-    arithmetic in the same order, so the QPs and control variables match it
-    bit for bit, and a non-finite error, ``o`` or raw QP raises the same
-    InputDomainError on the same frame. The schedule is read once as its
-    intra period, and the plant resolved once into a per-run stepper that
-    never copies or mutates the model. Each frame's error is computed once,
-    with the ``compute_error`` formula, recorded and fed to the next frame.
+    PID accumulators are locals of the loop, updated with
+    ``controller_frame``'s arithmetic in the same order, so the QPs and
+    control variables match it bit for bit, and a non-finite error, ``o``
+    or raw QP raises the same InputDomainError on the same frame. The
+    schedule is read once as its intra period, and the plant is resolved
+    once into a per-run stepper that never copies or mutates the model.
+    Each frame's error is computed once, from the fresh measurement with
+    the ``compute_error`` formula, recorded and fed to the next frame.
     The loop makes no reference cycles and holds the collector off until it
     ends. ``config.mode`` is not read: the caller chooses the run.
     """
@@ -231,8 +255,9 @@ def run_closed_loop(config: ExperimentConfig) -> list[FrameRecord]:
 def run_fixed_qp(config: ExperimentConfig) -> list[FrameRecord]:
     """Baseline run: hold the rounded anchor QP, step the plant identically.
 
-    No controller runs, so every frame records ``o = 0.0``. The error column,
-    collector hold and unread ``config.mode`` are as in ``run_closed_loop``.
+    No controller runs, so every frame records ``o = 0.0``; the error column
+    is computed, and the collector held, as in ``run_closed_loop``.
+    ``config.mode`` is not read.
     """
     step = plant_stepper(config.plant, config.n_frames)
     qp = clamp_round_qp(config.qp_offset, config.qp_range)

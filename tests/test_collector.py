@@ -3,13 +3,19 @@ it found it, starts no collection while it runs, and makes no reference
 cycles, which is what makes holding the collector safe."""
 
 import gc
+import threading
 
 import pytest
 
 from qpcontrol.config import parse_config
 from qpcontrol.controller import ControlObjective
 from qpcontrol.errors import InputDomainError, TraceDomainError
-from qpcontrol.harness import ExperimentConfig, run_closed_loop, run_fixed_qp
+from qpcontrol.harness import (
+    ExperimentConfig,
+    _collector_held,
+    run_closed_loop,
+    run_fixed_qp,
+)
 from qpcontrol.plant import PlantKind, PlantModel
 
 from trace_rows import table_from_rows
@@ -85,6 +91,48 @@ def test_a_run_that_leaves_the_trace_span_restores_the_collector(collector_was, 
     with pytest.raises(TraceDomainError, match="at frame 7$"):
         run(config)
     assert gc.isenabled() is collector_was
+
+
+def test_overlapping_holds_restore_the_collector_when_the_last_ends(
+    collector_was, monkeypatch
+):
+    # Forces the interleaving a check-then-switch without a lock loses: the
+    # first hold ends between the second's read of the switch and its
+    # gc.disable(), so the second finds the collector off and never turns
+    # it back on. Shared holds read the switch only in the first to begin.
+    first, second = _collector_held(), _collector_held()
+    held = []
+    real_isenabled = gc.isenabled
+
+    def first_ends_on_a_read():
+        found = real_isenabled()
+        if held:
+            other = threading.Thread(target=held.pop().__exit__, args=(None,) * 3)
+            other.start()
+            other.join(timeout=5)
+        return found
+
+    first.__enter__()
+    held.append(first)
+    monkeypatch.setattr(gc, "isenabled", first_ends_on_a_read)
+    second.__enter__()
+    monkeypatch.undo()
+    if held:
+        held.pop().__exit__(None, None, None)
+    assert not gc.isenabled()  # the second still holds it
+    second.__exit__(None, None, None)
+    assert gc.isenabled() is collector_was
+
+
+@pytest.mark.parametrize("switch", [gc.disable, gc.enable])
+def test_a_hold_undoes_only_a_disable_made_while_it_runs(collector_was, switch):
+    hold = _collector_held()
+    hold.__enter__()
+    other = threading.Thread(target=switch)
+    other.start()
+    other.join()
+    hold.__exit__(None, None, None)
+    assert gc.isenabled() is (collector_was or switch is gc.enable)
 
 
 @pytest.mark.parametrize("run", RUNS)
