@@ -108,8 +108,9 @@ def _load_trace(trace_path: str | None) -> TraceTable:
     if trace_path is None:
         raise ConfigError(f"{_TRACE_PATH}: required for a trace_driven plant")
     trace_file = Path(trace_path)
-    if not trace_file.is_file():
-        raise ConfigError(f"{_TRACE_PATH}: trace file not found: {trace_file}")
+    if not trace_file.is_file():  # nor open a FIFO, which would block
+        problem = "is not a regular file" if trace_file.exists() else "not found"
+        raise ConfigError(f"{_TRACE_PATH}: trace file {problem}: {trace_file}")
     try:
         return TraceTable.load(trace_file)
     except (InputDomainError, OSError) as exc:
@@ -153,10 +154,10 @@ def _parse_lines(lines: Iterable[str], source: str) -> dict[str, object]:
 
 def _parse_assignment(kv: dict[str, object], text: str, i: int) -> None:
     # A command-line assignment is read whole, as exactly one key=value: a
-    # '#' starts no comment, and a value holding one is refused, as a file
-    # would cut it there.
+    # '#' starts no comment, and a known key's value holding one is refused,
+    # as a file would cut it there. An unknown key is named as unknown.
     key, _, raw = text.partition("=")
-    if "#" in raw:
+    if "#" in raw and key.strip() in SCHEMA:
         raise ConfigError(f"{key.strip()}: a command-line value cannot hold '#'")
     where, one_line = f"override[{i}]:1", text.strip()
     if "\n" in one_line or "\r" in one_line:
@@ -201,8 +202,9 @@ def parse_configs(
     file_kv: dict[str, object] = {}
     if path is not None:
         file_path = Path(path)
-        if not file_path.is_file():
-            raise ConfigError(f"config file not found: {file_path}")
+        if not file_path.is_file():  # nor open a FIFO, which would block
+            problem = "is not a regular file" if file_path.exists() else "not found"
+            raise ConfigError(f"config file {problem}: {file_path}")
         try:
             with open(file_path, encoding="utf-8-sig") as lines:
                 file_kv = _parse_lines(lines, str(file_path))

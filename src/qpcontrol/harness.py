@@ -15,6 +15,7 @@ Both loops hold the interpreter's cyclic collector off while they run.
 Overlapping runs share one hold: the last to end turns the collector back
 on if it was on when the first began, so a ``gc.disable()`` made from
 another thread meanwhile is undone then; a ``gc.enable()`` never is.
+A forked child starts with no hold, and the switch as the first hold found it.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import os
 import sys
 import threading
 from dataclasses import dataclass
@@ -166,6 +168,17 @@ class _collector_held:
                 gc.enable()
         finally:
             held.lock.release()
+
+    @classmethod
+    def _release_in_child(cls) -> None:
+        # The child has none of the holding threads, which may own its lock.
+        cls.lock = threading.RLock()
+        while cls.holders:
+            cls().__exit__()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_collector_held._release_in_child)
 
 
 class FrameRecord(NamedTuple):

@@ -45,14 +45,17 @@ INVALID_VALUES = {
 }
 
 
-# ``main`` under a 256 MiB address-space cap; prints the peak RSS (KiB on
-# Linux) and exits with main's code.
+# ``main`` under a 256 MiB address-space cap; prints the peak RSS in KiB
+# and exits with main's code. The peak is VmHWM, this image's own: on Linux
+# ru_maxrss also keeps the high-water mark of the image before exec, which
+# for a subprocess is the test runner's.
 CAPPED_MAIN = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (256 * 2**20, 256 * 2**20))
 from qpcontrol.cli import main
 code = main(sys.argv[1:])
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
 sys.exit(code)
 """
 
@@ -914,6 +917,24 @@ class TestExitCodes:
         assert run_cli("simulate", "--config", "exp.cfg", "--out", "out") == 0
         assert (cfgdir / "out" / "trace.csv").is_file()
 
+    @pytest.mark.parametrize("directory", ["config", "trace"])
+    def test_a_directory_given_as_an_input_is_not_a_regular_file(
+        self, tmp_path, capsys, directory
+    ):
+        # It exists, so "not found" would send the user looking for it.
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        if directory == "config":
+            args, message = ["--config", folder], f"config file is not a regular file: {folder}"
+        else:
+            overrides = ["plant.kind=trace_driven", f"plant.trace_path={folder}"]
+            args = as_set(overrides)
+            message = f"plant.trace_path: trace file is not a regular file: {folder}"
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--out", out, *args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("unreadable", ["config", "trace"])
     def test_an_input_that_cannot_be_read_exits_two(
         self, tmp_path, capsys, monkeypatch, unreadable
@@ -972,26 +993,30 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "command, args, key",
+        "command, args, message",
         [
             (
                 "simulate",
                 ["--set", "kind_pattern=intra#every", "--set", "n_frames=5"],
-                "kind_pattern",
+                "kind_pattern: a command-line value cannot hold '#'",
             ),
-            ("sweep", ["--grid", "kind_pattern=intra#x,inter"], "kind_pattern"),
+            (
+                "sweep",
+                ["--grid", "kind_pattern=intra#x,inter"],
+                "kind_pattern: a command-line value cannot hold '#'",
+            ),
+            ("simulate", ["--set", "bogus=1#"], "override[0]:1: unknown key 'bogus'"),
         ],
-        ids=["set", "grid"],
+        ids=["set", "grid", "unknown_key"],
     )
     def test_a_hash_in_a_command_line_value_exits_two(
-        self, tmp_path, capsys, command, args, key
+        self, tmp_path, capsys, command, args, message
     ):
         # As a config line, the value would be cut at the '#' and run as
-        # something else.
+        # something else. An unknown key is named as one, '#' or not.
         out = tmp_path / "out"
         assert run_cli(command, "--out", out, *args) == 2
-        err = capsys.readouterr().err
-        assert err == f"error: {key}: a command-line value cannot hold '#'\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_a_config_file_with_a_utf8_bom_is_read(self, tmp_path, capsys):

@@ -3,7 +3,11 @@ it found it, starts no collection while it runs, and makes no reference
 cycles, which is what makes holding the collector safe."""
 
 import gc
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +30,23 @@ NOISE = [
     "plant.disturbance.amplitude=1.5",
     "plant.disturbance.seed=7",
 ]
+
+# Forks inside a hold; the child runs 5 frames and exits 0 only if the
+# collector is on. The parent exits with the child's code.
+FORK_IN_A_HOLD = """
+import gc, os, sys
+from qpcontrol.config import parse_config
+from qpcontrol.harness import _collector_held, run_closed_loop
+gc.enable()
+hold = _collector_held()
+hold.__enter__()
+pid = os.fork()
+if pid == 0:
+    run_closed_loop(parse_config(None, ["n_frames=5"]))
+    os._exit(0 if gc.isenabled() else 1)
+hold.__exit__()
+sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
 
 
 def noisy_config(n_frames):
@@ -169,3 +190,18 @@ def test_a_run_leaves_no_reference_cycles(run, plant):
     assert len(records) == 2_000
     del records
     assert gc.collect() == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is POSIX only")
+def test_a_forked_child_starts_with_the_collector_on():
+    # A fresh interpreter has no other thread, so Python 3.12+ gives no
+    # fork warning for -W error to raise.
+    src = Path(__file__).resolve().parent.parent / "src"
+    child = subprocess.run(
+        [sys.executable, "-W", "error", "-c", FORK_IN_A_HOLD],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (child.returncode, child.stderr) == (0, "")

@@ -61,3 +61,15 @@ def test_the_thorough_profile_command_is_the_workflows():
         if profile in line
     ]
     assert documented == run
+
+
+def test_every_file_a_workflow_step_runs_exists():
+    # So renaming a test module or bench/run.py fails here, not only on CI.
+    runs = "\n".join(
+        line.split("run:", 1)[1]
+        for line in WORKFLOW.read_text(encoding="utf-8").splitlines()
+        if "run:" in line
+    )
+    paths = re.findall(r"\b(?:tests|bench)/[\w/]+\.py\b", runs)
+    assert paths  # the thorough step and the bench-smoke job name files
+    assert [path for path in paths if not (README.parent / path).is_file()] == []
